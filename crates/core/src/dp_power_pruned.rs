@@ -28,13 +28,25 @@
 //!
 //! The forward pass iterates the [`FlatTree`] post-order layout (one dense
 //! scan, children as position windows) and all working memory — the layout,
-//! the per-position tables, the merge/prune double buffers, the flattened
+//! the per-position tables, the merge kernel's buffers, the flattened
 //! weight arrays — lives in a [`PrunedScratch`] that [`PrunedPowerDp::run_in`]
 //! borrows and [`PrunedPowerDp::recycle`] returns, so fleet batches solve
 //! with zero steady-state allocation. Results are bit-identical to the
 //! pre-flat pointer traversal ([`crate::reference::pruned_solve`] pins this).
+//!
+//! Nearly all of the time goes into merging a child's table into the fold
+//! (`merge_into`). Most merges are tiny and take the direct path: one sort
+//! and sweep of every candidate. The large merges near the root take the
+//! flow-grouped staircase kernel instead, which builds each output flow's
+//! front from already-sorted rows and sorts only the survivors. On a
+//! 10⁵-node α = 1 tree (2-core x86 container, 64 single-delta epochs of
+//! `IncrementalDp`), an epoch folds ~27 merges along the root path and
+//! enumerates ~967k candidate pairs, of which 7,979 survive. The kernel
+//! drops all but ~338k at generation, and the epoch's merges take
+//! ~7.5 ms of ~9.7 ms. The sort-and-prune kernel it replaced pushed ~317k
+//! candidates into sorts and spent ~40 ms of a ~43 ms epoch merging.
 
-use replica_model::{le_tolerant, Instance, ModeIdx, ModelError, Placement};
+use replica_model::{le_tolerant, Instance, ModeIdx, ModeSet, ModelError, Placement};
 use replica_tree::FlatTree;
 
 /// One table entry: everything a completion needs to know about a subtree.
@@ -72,11 +84,8 @@ pub struct PrunedCandidate {
 pub struct PrunedScratch {
     flat: FlatTree,
     tables: Vec<Vec<Triple>>,
+    /// The fold accumulator of the position being computed.
     cur: Vec<Triple>,
-    next: Vec<Triple>,
-    kept: Vec<Triple>,
-    served: Vec<Served>,
-    served_kept: Vec<Served>,
     merge: MergeScratch,
     /// `wcost[p * m + mode]`: additive cost of a server at position `p`.
     wcost: Vec<f64>,
@@ -84,21 +93,16 @@ pub struct PrunedScratch {
     wpower: Vec<f64>,
 }
 
-/// A child outcome paired with one feasible server mode's weights — the
-/// candidate pool for "place a replica at the child" merge outputs.
-///
-/// Kept as the four addends rather than their sums: the forward pass must
-/// reproduce the original `l + c + w` float summation order bit for bit,
-/// so dominance between served outcomes is judged component-wise (`cost`,
-/// `power`, `wcost`, `wpower` all ≤) — exactly the condition under which
-/// the dominator's output beats the dominated one for *every* left entry
-/// under IEEE-754 addition monotonicity.
+/// The read-only inputs every forward-pass and backtrack step shares:
+/// the instance, its flat layout, and the flattened server weights.
 #[derive(Clone, Copy)]
-pub(crate) struct Served {
-    cost: f64,
-    power: f64,
-    wcost: f64,
-    wpower: f64,
+pub(crate) struct DpView<'a> {
+    pub(crate) instance: &'a Instance,
+    pub(crate) flat: &'a FlatTree,
+    /// `wcost[p * m + mode]`: additive cost of a server at position `p`.
+    pub(crate) wcost: &'a [f64],
+    /// `wpower[mode]`: additive power of a server at `mode`.
+    pub(crate) wpower: &'a [f64],
 }
 
 /// A completed pruned-DP run.
@@ -141,24 +145,25 @@ pub(crate) fn fill_weights(
     }
 }
 
-/// Flow ceiling up to which [`prune_into`] uses the O(1) bucketed
-/// dominance test; larger capacities fall back to the front scan.
+/// Flow ceiling up to which the merge groups entries by flow (the
+/// staircase kernel, and [`prune_into`]'s O(1) bucketed dominance test);
+/// larger capacities fall back to the direct path's front scan.
 const MAX_FLOW_BUCKETS: u64 = 4096;
 
-/// Prunes to the 3-D Pareto front (minimal flow/cost/power), keeping the
-/// survivors in `entries`; `kept` is the filter buffer. `wmax` is the
-/// instance's flow ceiling — every entry's flow is ≤ `wmax` by
-/// construction (infeasible combinations are never pushed).
-fn prune_into(entries: &mut Vec<Triple>, kept: &mut Vec<Triple>, wmax: u64) {
+/// Merges whose `left × child` product is at most this many pairs take
+/// the direct path: on the many tiny merges of a wide tree, one sort of a
+/// few hundred candidates beats the staircase kernel's per-flow setup.
+const DIRECT_MAX_PAIRS: usize = 256;
+
+/// Writes the 3-D Pareto front (minimal flow/cost/power) of `entries` to
+/// `kept`, sorted by `(cost, power, flow)`; `minpow` is the bucket
+/// buffer. `wmax` is the instance's flow ceiling — every entry's flow is
+/// ≤ `wmax` by construction (infeasible combinations are never pushed).
+fn prune_into(entries: &mut [Triple], kept: &mut Vec<Triple>, minpow: &mut Vec<f64>, wmax: u64) {
     // Unstable sort is safe: comparator-equal triples are bit-identical
     // (total_cmp is a total order on the raw representation), so any
     // permutation of an equal run yields the same sequence.
-    entries.sort_unstable_by(|a, b| {
-        a.cost
-            .total_cmp(&b.cost)
-            .then(a.power.total_cmp(&b.power))
-            .then(a.flow.cmp(&b.flow))
-    });
+    entries.sort_unstable_by(cost_power_flow);
     kept.clear();
     // Everything already kept has cost ≤ e.cost (sort order), so e is
     // dominated iff some kept entry also has power ≤ and flow ≤.
@@ -167,7 +172,8 @@ fn prune_into(entries: &mut Vec<Triple>, kept: &mut Vec<Triple>, wmax: u64) {
         // non-increasing in f, so the membership test collapses to one
         // lookup and inserts stop updating at the first already-lower
         // slot.
-        let mut minpow = vec![f64::INFINITY; wmax as usize + 1];
+        minpow.clear();
+        minpow.resize(wmax as usize + 1, f64::INFINITY);
         for &e in entries.iter() {
             if minpow[e.flow as usize] <= e.power {
                 continue;
@@ -188,284 +194,463 @@ fn prune_into(entries: &mut Vec<Triple>, kept: &mut Vec<Triple>, wmax: u64) {
             }
         }
     }
-    std::mem::swap(entries, kept);
 }
 
-/// Allocating [`prune_into`] (unit tests).
-#[cfg(test)]
-fn prune(entries: &mut Vec<Triple>, wmax: u64) {
-    let mut kept = Vec::with_capacity(entries.len().min(64));
-    prune_into(entries, &mut kept, wmax);
+/// The table order: `(cost, power, flow)` under `total_cmp`. The
+/// backtrack's first-match search depends on it.
+fn cost_power_flow(a: &Triple, b: &Triple) -> std::cmp::Ordering {
+    a.cost
+        .total_cmp(&b.cost)
+        .then(a.power.total_cmp(&b.power))
+        .then(a.flow.cmp(&b.flow))
 }
 
-/// Prunes served outcomes to their component-wise Pareto front (see
-/// [`Served`] for why dominance must be judged on the addends).
-fn prune_served_into(entries: &mut Vec<Served>, kept: &mut Vec<Served>) {
-    entries.sort_by(|a, b| {
-        a.cost
-            .total_cmp(&b.cost)
-            .then(a.power.total_cmp(&b.power))
-            .then(a.wcost.total_cmp(&b.wcost))
-            .then(a.wpower.total_cmp(&b.wpower))
-    });
-    kept.clear();
-    for &e in entries.iter() {
-        if !kept
-            .iter()
-            .any(|k| k.power <= e.power && k.wcost <= e.wcost && k.wpower <= e.wpower)
-        {
-            kept.push(e);
-        }
-    }
-    std::mem::swap(entries, kept);
-}
-
-/// `out` is compacted whenever it outgrows this floor (or four times its
-/// last Pareto front, whichever is larger): the buffer and every sort stay
-/// proportional to the front, not to the full `left × child` product.
+/// The direct path's candidates are compacted whenever they outgrow this
+/// floor (or four times their last Pareto front, whichever is larger):
+/// the buffer and every sort stay proportional to the front, not to the
+/// full `left × child` product.
 const COMPACT_FLOOR: usize = 8 * 1024;
 
-/// Reusable working memory for [`merge_into`]'s flow bucketing and
-/// push-side dominance prefilter. One instance serves a whole forward
-/// pass; after the first merge has grown the buffers nothing allocates.
+/// One point of a 2-D `(cost, power)` staircase.
+#[derive(Clone, Copy, Default)]
+struct Step {
+    cost: f64,
+    power: f64,
+}
+
+/// Appends `s` to the staircase `buf[from..]`, whose points arrive in
+/// non-decreasing cost order, keeping it strict: cost ascending, power
+/// strictly descending.
+///
+/// The last point has the lowest power of every kept point, and all of
+/// them cost no more than `s`, so `s` is dominated iff the last point's
+/// power is ≤. Otherwise `s` dominates only a last point of *equal*
+/// cost, which it replaces — distinct addends can round to the same sum,
+/// so a row of strictly ascending inputs can still produce such a run.
+#[inline]
+fn push_step(buf: &mut Vec<Step>, from: usize, s: Step) {
+    if buf.len() > from {
+        let last = buf.last_mut().expect("non-empty");
+        if last.power <= s.power {
+            return;
+        }
+        #[allow(clippy::float_cmp)] // collapsing bit-equal rounded sums
+        if last.cost == s.cost {
+            *last = s;
+            return;
+        }
+    }
+    buf.push(s);
+}
+
+/// Appends the 2-D front of two staircases to `out` (one linear merge).
+fn merge_steps(a: &[Step], b: &[Step], out: &mut Vec<Step>) {
+    let from = out.len();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let s = if (a[i].cost, a[i].power) <= (b[j].cost, b[j].power) {
+            i += 1;
+            a[i - 1]
+        } else {
+            j += 1;
+            b[j - 1]
+        };
+        push_step(out, from, s);
+    }
+    for &s in a[i..].iter().chain(&b[j..]) {
+        push_step(out, from, s);
+    }
+}
+
+/// A bucketed lower bound on a staircase's power floor, for dropping
+/// dominated row points before they are merged.
+///
+/// Buckets split the staircase's cost span evenly, and `floor[b]` is the
+/// least power of the points in buckets *below* `b`. A cost's bucket
+/// never decreases as the cost grows — however the arithmetic rounds —
+/// so each of those points costs less than anything in bucket `b`: a
+/// point `(c, p)` with `p ≥ floor[bucket(c)]` is dominated. The test is
+/// one lookup and never wrong; the points it misses (a dominator in the
+/// same bucket) are left to the exact filter.
+#[derive(Default)]
+struct BucketFloor {
+    base: f64,
+    scale: f64,
+    floor: Vec<f64>,
+}
+
+impl BucketFloor {
+    fn rebuild(&mut self, stair: &[Step]) {
+        self.floor.clear();
+        let buckets = (4 * stair.len()).clamp(64, 4096);
+        self.floor.resize(buckets + 1, f64::INFINITY);
+        let (Some(first), Some(last)) = (stair.first(), stair.last()) else {
+            return;
+        };
+        let span = last.cost - first.cost;
+        self.base = first.cost;
+        // The last point lands in bucket `buckets - 1`, so costs past it
+        // reach the final bucket, whose floor includes it.
+        self.scale = if span > 0.0 {
+            (buckets - 1) as f64 / span
+        } else {
+            0.0
+        };
+        for step in stair {
+            let above = self.bucket(step.cost) + 1;
+            if let Some(slot) = self.floor.get_mut(above) {
+                *slot = slot.min(step.power);
+            }
+        }
+        for b in 1..self.floor.len() {
+            self.floor[b] = self.floor[b].min(self.floor[b - 1]);
+        }
+    }
+
+    #[inline]
+    fn bucket(&self, cost: f64) -> usize {
+        // `as` saturates (negative to 0), so this never decreases in cost.
+        (((cost - self.base) * self.scale) as usize).min(self.floor.len() - 1)
+    }
+
+    #[inline]
+    fn dominates(&self, s: Step) -> bool {
+        self.floor[self.bucket(s.cost)] <= s.power
+    }
+}
+
+/// Reusable working memory for [`merge_into`]: the output buffer plus
+/// everything either merge path needs. One instance serves a whole
+/// forward pass; after the first large merge has grown the buffers
+/// nothing allocates.
 #[derive(Default)]
 pub(crate) struct MergeScratch {
-    /// The child table counting-sorted by flow, so the capacity-feasible
-    /// partners of a left entry form a contiguous prefix.
-    by_flow: Vec<Triple>,
-    /// Bucket boundaries: entries with flow ≤ f are `by_flow[..starts[f + 1]]`.
-    starts: Vec<usize>,
+    /// The merged table (each [`merge_into`] call overwrites it).
+    pub(crate) out: Vec<Triple>,
+    /// The direct path's candidates, and [`prune_into`]'s bucket buffer.
+    /// Candidates never leave the scratch, so the tables that `out` is
+    /// swapped into stay front-sized.
+    candidates: Vec<Triple>,
+    minpow: Vec<f64>,
+    /// `left` and `child` counting-sorted by flow: flow group `f` is
+    /// `left_by_flow[left_at[f]..left_at[f + 1]]` (likewise for `child`).
+    left_by_flow: Vec<Step>,
+    left_at: Vec<usize>,
+    child_by_flow: Vec<Step>,
+    child_at: Vec<usize>,
     cursor: Vec<usize>,
-    /// `stairs[f]`: the last compaction's front restricted to flow ≤ f,
-    /// as a (cost ascending, power strictly descending) staircase. A
-    /// candidate dominated by it can be dropped *before* entering the
-    /// sort buffer — the dominating front entry is still in `out`, so
-    /// the final front is unchanged.
-    stairs: Vec<Vec<(f64, f64)>>,
+    /// Per mode, the staircase of child entries it can serve (see
+    /// [`served_staircases`]); both paths use it.
+    served: Vec<Step>,
+    served_at: Vec<usize>,
+    /// The current output flow's rows (`row_ends[r]` closes row `r`),
+    /// and the tournament's second buffer (which ends up holding the
+    /// flow's survivors).
+    rows: Vec<Step>,
+    row_ends: Vec<usize>,
+    rows_next: Vec<Step>,
+    row_ends_next: Vec<usize>,
+    /// The running staircase of kept lower-flow entries, its bucketed
+    /// floor, and its rebuild buffer.
+    lower: Vec<Step>,
+    lower_floor: BucketFloor,
+    lower_next: Vec<Step>,
 }
 
-/// Is `(flow, cost, power)` dominated by the staircase front?
+/// Fills `served[served_at[mode]..served_at[mode + 1]]` with the
+/// `(cost, power)` staircase of the child entries `mode` can serve.
 ///
-/// `stairs[flow]` only holds front entries with flow ≤ `flow`, sorted by
-/// cost with power strictly decreasing — so the rightmost entry with
-/// cost ≤ `cost` carries the minimum power over every front entry that
-/// could dominate, and one binary search decides.
-#[inline]
-fn stair_dominated(stairs: &[Vec<(f64, f64)>], flow: u64, cost: f64, power: f64) -> bool {
-    let s = &stairs[flow as usize];
-    let i = s.partition_point(|&(c, _)| c <= cost);
-    i > 0 && s[i - 1].1 <= power
-}
-
-/// Rebuilds the per-flow staircases from a cost-sorted front (the
-/// [`prune_into`] output order). Walking the front in cost order means a
-/// bucket push only needs a power check against the bucket's last entry;
-/// buckets are cumulative in flow, so once an entry stops improving one
-/// bucket it cannot improve any later one.
-fn rebuild_stairs(front: &[Triple], wmax: usize, stairs: &mut Vec<Vec<(f64, f64)>>) {
-    if stairs.len() < wmax + 1 {
-        stairs.resize_with(wmax + 1, Vec::new);
-    }
-    for s in stairs.iter_mut() {
-        s.clear();
-    }
-    for e in front {
-        for s in stairs[e.flow as usize..=wmax].iter_mut() {
-            match s.last() {
-                Some(&(_, p)) if p <= e.power => break,
-                _ => s.push((e.cost, e.power)),
-            }
+/// A served candidate's weights depend only on the mode, so a child
+/// entry that another one dominates in cost and power can never yield a
+/// front entry through that mode. `child` is in cost order already.
+fn served_staircases(
+    modes: &ModeSet,
+    child: &[Triple],
+    served: &mut Vec<Step>,
+    served_at: &mut Vec<usize>,
+) {
+    served.clear();
+    served_at.clear();
+    for mode in 0..modes.count() {
+        let from = served.len();
+        served_at.push(from);
+        for c in child.iter().filter(|c| modes.fits(mode, c.flow)) {
+            let step = Step {
+                cost: c.cost,
+                power: c.power,
+            };
+            push_step(served, from, step);
         }
     }
+    served_at.push(served.len());
 }
 
-/// One merge step into caller buffers (the forward-pass kernel).
+/// Counting-sorts `src` by flow (stable, so each group keeps `src`'s cost
+/// order) into `dst`, with group `f` at `dst[at[f]..at[f + 1]]`.
+fn group_by_flow(
+    src: &[Triple],
+    w: usize,
+    dst: &mut Vec<Step>,
+    at: &mut Vec<usize>,
+    cursor: &mut Vec<usize>,
+) {
+    at.clear();
+    at.resize(w + 2, 0);
+    for t in src {
+        at[t.flow as usize + 1] += 1;
+    }
+    for f in 0..=w {
+        at[f + 1] += at[f];
+    }
+    cursor.clone_from(at);
+    dst.clear();
+    dst.resize(src.len(), Step::default());
+    for t in src {
+        let slot = &mut cursor[t.flow as usize];
+        dst[*slot] = Step {
+            cost: t.cost,
+            power: t.power,
+        };
+        *slot += 1;
+    }
+}
+
+/// One merge step: folds `child` (the table of the child at `child_pos`)
+/// into the accumulated table `left`, leaving the 3-D Pareto front of
+/// every combination in `scratch.out`, sorted by `(cost, power, flow)`.
 ///
-/// The resulting table is the 3-D Pareto front of every combination, and
-/// [`prune_into`] is a pure function of the candidate *set* — so the
-/// enumeration below may drop candidates it can prove dominated, visit
-/// pairs in any order, and compact `out` mid-flight without changing a
-/// bit of the output. The liberties taken, which together keep
-/// datacenter-sized merges out of quadratic time and memory:
+/// A combination either sends the child's flow upward (`l + c`, if the
+/// sum fits the flow ceiling) or places a replica at the child in a mode
+/// that can serve it (`(l + c) + w`, keeping `l`'s flow). The front is a
+/// pure function of that candidate *set*, and both paths below produce
+/// it with the same sums in the same association order, so they are
+/// bit-identical (`staircase_kernel_matches_direct_path` pins this). The
+/// staircase kernel compares with `<` and `==` where [`prune_into`] sorts
+/// with `total_cmp`; the two agree because no table value is NaN or
+/// `-0.0` (validated models keep every weight finite, and every entry is
+/// a sum seeded with `+0.0`).
 ///
-/// * **Served-outcome collapse**: a "replica at the child" output reuses
-///   the left entry's flow, so among `(child entry, mode)` pairs only the
-///   component-wise front ([`Served`]) can survive the final prune; it is
-///   computed once per merge instead of rediscovered per left entry.
-/// * **Chunked compaction**: `out` is pruned whenever it outgrows
-///   [`COMPACT_FLOOR`] (or 4× its last front), so the buffer and each
-///   sort stay front-sized instead of cross-product-sized.
-/// * **Flow-bucketed enumeration**: the child table is counting-sorted
-///   by flow, so a left entry's capacity-feasible partners are a
-///   contiguous prefix and infeasible pairs are never visited.
-/// * **Push-side prefilter**: after each compaction the surviving front
-///   is folded into per-flow staircases ([`MergeScratch::stairs`]); a
-///   later candidate it dominates is dropped by one binary search
-///   instead of being pushed, sorted, and discarded — near the root
-///   well over 99% of candidates die here.
-#[allow(clippy::too_many_arguments)]
+/// Large merges take [`merge_staircase`]; tiny ones, and flow ceilings
+/// above [`MAX_FLOW_BUCKETS`], take [`merge_direct`].
 pub(crate) fn merge_into(
-    instance: &Instance,
-    wcost: &[f64],
-    wpower: &[f64],
+    view: &DpView<'_>,
     child_pos: usize,
     left: &[Triple],
     child: &[Triple],
-    out: &mut Vec<Triple>,
-    kept: &mut Vec<Triple>,
-    served: &mut Vec<Served>,
-    served_kept: &mut Vec<Served>,
-    mscratch: &mut MergeScratch,
+    scratch: &mut MergeScratch,
 ) {
-    let modes = instance.modes();
-    let wmax = instance.max_capacity();
+    let modes = view.instance.modes();
     let m = modes.count();
+    let wcost = &view.wcost[child_pos * m..(child_pos + 1) * m];
+    if modes.max_capacity() > MAX_FLOW_BUCKETS || left.len() * child.len() <= DIRECT_MAX_PAIRS {
+        merge_direct(modes, wcost, view.wpower, left, child, scratch);
+    } else {
+        merge_staircase(modes, wcost, view.wpower, left, child, scratch);
+    }
+}
 
-    served.clear();
-    for c in child {
-        if let Some(first) = modes.mode_for_load(c.flow) {
-            for mode in first..m {
-                served.push(Served {
-                    cost: c.cost,
-                    power: c.power,
-                    wcost: wcost[child_pos * m + mode],
-                    wpower: wpower[mode],
+/// The direct path (and the staircase kernel's test oracle): enumerate
+/// every feasible pair and served candidate, then [`prune_into`] once.
+/// `wcost[mode]` and `wpower[mode]` are the child's server weights.
+/// Served candidates come from [`served_staircases`] only, which keeps
+/// the candidate count near the pair count on tiny merges.
+///
+/// Only at flow ceilings above [`MAX_FLOW_BUCKETS`] can the product be
+/// large, so only there does the [`COMPACT_FLOOR`] compaction fire.
+fn merge_direct(
+    modes: &ModeSet,
+    wcost: &[f64],
+    wpower: &[f64],
+    left: &[Triple],
+    child: &[Triple],
+    scratch: &mut MergeScratch,
+) {
+    let wmax = modes.max_capacity();
+    let m = modes.count();
+    served_staircases(modes, child, &mut scratch.served, &mut scratch.served_at);
+    let candidates = &mut scratch.candidates;
+    candidates.clear();
+    let mut compact_at = COMPACT_FLOOR;
+    for l in left {
+        for c in child.iter().filter(|c| l.flow + c.flow <= wmax) {
+            candidates.push(Triple {
+                flow: l.flow + c.flow,
+                cost: l.cost + c.cost,
+                power: l.power + c.power,
+            });
+        }
+        for mode in 0..m {
+            for c in &scratch.served[scratch.served_at[mode]..scratch.served_at[mode + 1]] {
+                // (l + c) + w, as the staircase kernel sums it.
+                candidates.push(Triple {
+                    flow: l.flow,
+                    cost: l.cost + c.cost + wcost[mode],
+                    power: l.power + c.power + wpower[mode],
                 });
             }
         }
+        if candidates.len() >= compact_at {
+            prune_into(candidates, &mut scratch.out, &mut scratch.minpow, wmax);
+            candidates.clone_from(&scratch.out);
+            compact_at = COMPACT_FLOOR.max(candidates.len() * 4);
+        }
     }
-    prune_served_into(served, served_kept);
+    prune_into(candidates, &mut scratch.out, &mut scratch.minpow, wmax);
+}
 
-    // Pair enumeration order is free: [`prune_into`]'s total sort makes
-    // the pruned table a pure function of the candidate *set* (see the
-    // invariant note on [`compute_position`]), and each candidate's
-    // sums are per-pair, so bucketing the child table by flow changes
-    // neither values nor the final front. What it buys: for an
-    // accumulator entry with flow `fl`, only child entries with flow
-    // ≤ `wmax − fl` can combine, and with the child grouped by flow
-    // those form a contiguous prefix — the capacity check moves out of
-    // the inner loop and infeasible pairs are never visited at all.
-    out.clear();
-    let mut compact_at = COMPACT_FLOOR;
-    if wmax <= MAX_FLOW_BUCKETS {
-        let w = wmax as usize;
-        // Counting-sort `child` by flow; `starts[f]` = first index of
-        // bucket `f`, so entries with flow ≤ f are `by_flow[..starts[f + 1]]`.
-        mscratch.starts.clear();
-        mscratch.starts.resize(w + 2, 0);
-        for c in child {
-            mscratch.starts[c.flow as usize + 1] += 1;
-        }
-        for f in 0..=w {
-            mscratch.starts[f + 1] += mscratch.starts[f];
-        }
-        mscratch.cursor.clone_from(&mscratch.starts);
-        mscratch.by_flow.clear();
-        mscratch.by_flow.resize(
-            child.len(),
-            Triple {
-                flow: 0,
-                cost: 0.0,
-                power: 0.0,
-            },
-        );
-        for c in child {
-            let slot = mscratch.cursor[c.flow as usize];
-            mscratch.by_flow[slot] = *c;
-            mscratch.cursor[c.flow as usize] = slot + 1;
-        }
-        if mscratch.stairs.len() < w + 1 {
-            mscratch.stairs.resize_with(w + 1, Vec::new);
-        }
-        for s in mscratch.stairs.iter_mut() {
-            s.clear();
-        }
-        for l in left {
-            let budget = (wmax - l.flow) as usize;
-            for c in &mscratch.by_flow[..mscratch.starts[budget + 1]] {
-                let flow = l.flow + c.flow;
-                let cost = l.cost + c.cost;
-                let power = l.power + c.power;
-                if !stair_dominated(&mscratch.stairs, flow, cost, power) {
-                    out.push(Triple { flow, cost, power });
-                }
+/// The flow-grouped staircase kernel: builds each output flow's front by
+/// linear merges of already-sorted rows and sorts only the survivors.
+///
+/// Every flow group of a pruned table is a strict 2-D staircase (cost
+/// ascending, power strictly descending), and a served candidate's
+/// weights depend only on the mode, so per mode only the staircase of
+/// the child entries it can serve matters. IEEE addition is monotone, so
+/// adding one left entry to a child group — or one left entry plus a
+/// mode's weights to that mode's served staircase — gives a *row* whose
+/// cost never falls and whose power never rises. For each output flow
+/// `f` ascending:
+///
+/// 1. rows: `l + C[f − fl]` for each left entry `l` of flow `fl ≤ f`, and
+///    `(l + s) + w` per mode for each left entry of flow `f`, each
+///    normalized to a strict staircase by [`push_step`] as it is
+///    generated; a point the kept lower-flow entries (`lower`, itself a
+///    staircase) dominate by [`BucketFloor`] is dropped on the spot;
+/// 2. a tournament of pairwise [`merge_steps`] reduces the rows to flow
+///    `f`'s 2-D front;
+/// 3. one linear walk drops the front entries that `lower` dominates, and
+///    the survivors join the output and are merged into `lower`.
+///
+/// Dropping a point that `lower` dominates early is safe: whatever it
+/// would have dominated in step 2, `lower` dominates too. The survivors
+/// are exactly the 3-D front's flow-`f` entries, with the sums
+/// [`merge_direct`] computes; one final sort puts them in
+/// [`prune_into`]'s order.
+fn merge_staircase(
+    modes: &ModeSet,
+    wcost: &[f64],
+    wpower: &[f64],
+    left: &[Triple],
+    child: &[Triple],
+    s: &mut MergeScratch,
+) {
+    let w = modes.max_capacity() as usize;
+    let m = modes.count();
+    group_by_flow(left, w, &mut s.left_by_flow, &mut s.left_at, &mut s.cursor);
+    group_by_flow(
+        child,
+        w,
+        &mut s.child_by_flow,
+        &mut s.child_at,
+        &mut s.cursor,
+    );
+
+    served_staircases(modes, child, &mut s.served, &mut s.served_at);
+
+    s.out.clear();
+    s.lower.clear();
+    s.lower_floor.rebuild(&s.lower);
+    for f in 0..=w {
+        s.rows.clear();
+        s.row_ends.clear();
+        for fl in 0..=f {
+            let group = &s.child_by_flow[s.child_at[f - fl]..s.child_at[f - fl + 1]];
+            if group.is_empty() {
+                continue;
             }
-            // Same addition order as the pre-collapse code: (l + c) + w.
-            for s in served.iter() {
-                let cost = l.cost + s.cost + s.wcost;
-                let power = l.power + s.power + s.wpower;
-                if !stair_dominated(&mscratch.stairs, l.flow, cost, power) {
-                    out.push(Triple {
-                        flow: l.flow,
-                        cost,
-                        power,
-                    });
-                }
-            }
-            if out.len() >= compact_at {
-                prune_into(out, kept, wmax);
-                compact_at = COMPACT_FLOOR.max(out.len() * 4);
-                rebuild_stairs(out, w, &mut mscratch.stairs);
-            }
-        }
-    } else {
-        for l in left {
-            for c in child {
-                let combined = l.flow + c.flow;
-                if combined <= wmax {
-                    out.push(Triple {
-                        flow: combined,
+            for l in &s.left_by_flow[s.left_at[fl]..s.left_at[fl + 1]] {
+                let from = s.rows.len();
+                for c in group {
+                    let step = Step {
                         cost: l.cost + c.cost,
                         power: l.power + c.power,
-                    });
+                    };
+                    if !s.lower_floor.dominates(step) {
+                        push_step(&mut s.rows, from, step);
+                    }
+                }
+                if s.rows.len() > from {
+                    s.row_ends.push(s.rows.len());
                 }
             }
-            // Same addition order as the pre-collapse code: (l + c) + w.
-            for s in served.iter() {
-                out.push(Triple {
-                    flow: l.flow,
-                    cost: l.cost + s.cost + s.wcost,
-                    power: l.power + s.power + s.wpower,
-                });
-            }
-            if out.len() >= compact_at {
-                prune_into(out, kept, wmax);
-                compact_at = COMPACT_FLOOR.max(out.len() * 4);
+        }
+        for l in &s.left_by_flow[s.left_at[f]..s.left_at[f + 1]] {
+            for mode in 0..m {
+                let source = &s.served[s.served_at[mode]..s.served_at[mode + 1]];
+                if source.is_empty() {
+                    continue;
+                }
+                let from = s.rows.len();
+                for c in source {
+                    // Same association as the direct path: (l + c) + w.
+                    let step = Step {
+                        cost: l.cost + c.cost + wcost[mode],
+                        power: l.power + c.power + wpower[mode],
+                    };
+                    if !s.lower_floor.dominates(step) {
+                        push_step(&mut s.rows, from, step);
+                    }
+                }
+                if s.rows.len() > from {
+                    s.row_ends.push(s.rows.len());
+                }
             }
         }
-    }
-    prune_into(out, kept, wmax);
-}
+        if s.row_ends.is_empty() {
+            continue;
+        }
 
-/// Allocating merge (shared by reconstruction, which rebuilds small
-/// intermediate tables on demand).
-pub(crate) fn merge(
-    instance: &Instance,
-    wcost: &[f64],
-    wpower: &[f64],
-    child_pos: usize,
-    left: &[Triple],
-    child: &[Triple],
-) -> Vec<Triple> {
-    let mut out = Vec::new();
-    let mut kept = Vec::new();
-    let mut served = Vec::new();
-    let mut served_kept = Vec::new();
-    let mut mscratch = MergeScratch::default();
-    merge_into(
-        instance,
-        wcost,
-        wpower,
-        child_pos,
-        left,
-        child,
-        &mut out,
-        &mut kept,
-        &mut served,
-        &mut served_kept,
-        &mut mscratch,
-    );
-    out
+        while s.row_ends.len() > 1 {
+            s.rows_next.clear();
+            s.row_ends_next.clear();
+            let mut start = 0;
+            for pair in s.row_ends.chunks(2) {
+                match *pair {
+                    [mid, end] => {
+                        merge_steps(&s.rows[start..mid], &s.rows[mid..end], &mut s.rows_next);
+                        start = end;
+                    }
+                    [end] => {
+                        s.rows_next.extend_from_slice(&s.rows[start..end]);
+                        start = end;
+                    }
+                    _ => unreachable!("chunks of two"),
+                }
+                s.row_ends_next.push(s.rows_next.len());
+            }
+            std::mem::swap(&mut s.rows, &mut s.rows_next);
+            std::mem::swap(&mut s.row_ends, &mut s.row_ends_next);
+        }
+
+        // `lower` has power strictly descending, so the last entry with
+        // cost ≤ e.cost carries the least power that could dominate e.
+        // The survivors land in the tournament's spare buffer.
+        let survivors = &mut s.rows_next;
+        survivors.clear();
+        let mut k = 0;
+        let mut floor = f64::INFINITY;
+        for &e in &s.rows {
+            while k < s.lower.len() && s.lower[k].cost <= e.cost {
+                floor = s.lower[k].power;
+                k += 1;
+            }
+            if e.power < floor {
+                survivors.push(e);
+            }
+        }
+        if survivors.is_empty() {
+            continue;
+        }
+        s.out.extend(survivors.iter().map(|e| Triple {
+            flow: f as u64,
+            cost: e.cost,
+            power: e.power,
+        }));
+        s.lower_next.clear();
+        merge_steps(&s.lower, survivors, &mut s.lower_next);
+        std::mem::swap(&mut s.lower, &mut s.lower_next);
+        s.lower_floor.rebuild(&s.lower);
+    }
+    s.out.sort_unstable_by(cost_power_flow);
 }
 
 /// The global Eq. 4 deletion constant `Σᵢ deleteᵢ·Eᵢ`.
@@ -478,30 +663,23 @@ pub(crate) fn deletion_constant(instance: &Instance) -> f64 {
 }
 
 /// Computes the Pareto table of position `p` from its children's tables
-/// (which must already be current) and swaps it into `tables[p]`.
+/// (which must already be current) and swaps it into `tables[p]`; `cur`
+/// is the fold accumulator.
 ///
 /// This is THE forward-pass step: [`PrunedPowerDp::run_in`] calls it for
 /// every position bottom-up, and the incremental solver
 /// ([`crate::incremental::IncrementalDp`]) calls it for exactly the dirty
 /// closure — sharing this function is what makes the incremental recompute
 /// bit-identical to a from-scratch solve by construction.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn compute_position(
-    instance: &Instance,
-    flat: &FlatTree,
-    wcost: &[f64],
-    wpower: &[f64],
+    view: &DpView<'_>,
     p: usize,
     tables: &mut [Vec<Triple>],
     cur: &mut Vec<Triple>,
-    next: &mut Vec<Triple>,
-    kept: &mut Vec<Triple>,
-    served: &mut Vec<Served>,
-    served_kept: &mut Vec<Served>,
-    mscratch: &mut MergeScratch,
+    scratch: &mut MergeScratch,
 ) {
-    let wmax = instance.max_capacity();
-    let direct = flat.client_load(p);
+    let wmax = view.instance.max_capacity();
+    let direct = view.flat.client_load(p);
     cur.clear();
     if direct <= wmax {
         cur.push(Triple {
@@ -510,24 +688,12 @@ pub(crate) fn compute_position(
             power: 0.0,
         });
     }
-    for &child in flat.children(p) {
+    for &child in view.flat.children(p) {
         if cur.is_empty() {
             break;
         }
-        merge_into(
-            instance,
-            wcost,
-            wpower,
-            child as usize,
-            cur,
-            &tables[child as usize],
-            next,
-            kept,
-            served,
-            served_kept,
-            mscratch,
-        );
-        std::mem::swap(cur, next);
+        merge_into(view, child as usize, cur, &tables[child as usize], scratch);
+        std::mem::swap(cur, &mut scratch.out);
     }
     std::mem::swap(&mut tables[p], cur);
 }
@@ -546,31 +712,23 @@ pub(crate) fn compute_position(
 /// by construction — and the cached `inters_p` doubles as the
 /// reconstruction's intermediate tables, so the backtrack needs no
 /// re-merge at all.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn compute_position_cached(
-    instance: &Instance,
-    flat: &FlatTree,
-    wcost: &[f64],
-    wpower: &[f64],
+    view: &DpView<'_>,
     p: usize,
     start: usize,
     tables: &mut [Vec<Triple>],
     inters_p: &mut Vec<Vec<Triple>>,
-    next: &mut Vec<Triple>,
-    kept: &mut Vec<Triple>,
-    served: &mut Vec<Served>,
-    served_kept: &mut Vec<Served>,
-    mscratch: &mut MergeScratch,
+    scratch: &mut MergeScratch,
 ) {
-    let children = flat.children(p);
+    let children = view.flat.children(p);
     let len = children.len();
     let slots = len.max(1);
     if inters_p.len() < slots {
         inters_p.resize_with(slots, Vec::new);
     }
     if start == 0 {
-        let wmax = instance.max_capacity();
-        let direct = flat.client_load(p);
+        let wmax = view.instance.max_capacity();
+        let direct = view.flat.client_load(p);
         inters_p[0].clear();
         if direct <= wmax {
             inters_p[0].push(Triple {
@@ -596,23 +754,14 @@ pub(crate) fn compute_position_cached(
             tables[p].clear();
             return;
         }
-        merge_into(
-            instance,
-            wcost,
-            wpower,
-            children[k] as usize,
-            &inters_p[k],
-            &tables[children[k] as usize],
-            next,
-            kept,
-            served,
-            served_kept,
-            mscratch,
-        );
+        let child = children[k] as usize;
+        merge_into(view, child, &inters_p[k], &tables[child], scratch);
+        // Copied, not swapped: these tables live across epochs, and a
+        // swap would hand each the scratch buffer's high-water capacity.
         if k + 1 < len {
-            std::mem::swap(&mut inters_p[k + 1], next);
+            inters_p[k + 1].clone_from(&scratch.out);
         } else {
-            std::mem::swap(&mut tables[p], next);
+            tables[p].clone_from(&scratch.out);
         }
     }
 }
@@ -620,17 +769,14 @@ pub(crate) fn compute_position_cached(
 /// Scans the root table into the feasible candidate set (the no-replica
 /// option for flow 0, plus every feasible root mode per entry).
 pub(crate) fn scan_root(
-    instance: &Instance,
-    flat: &FlatTree,
+    view: &DpView<'_>,
     root_table: &[Triple],
-    wcost: &[f64],
-    wpower: &[f64],
     delete_constant: f64,
     out: &mut Vec<PrunedCandidate>,
 ) {
-    let modes = instance.modes();
+    let modes = view.instance.modes();
     let m = modes.count();
-    let root = flat.root_position();
+    let root = view.flat.root_position();
     out.clear();
     for &t in root_table {
         if t.flow == 0 {
@@ -646,8 +792,8 @@ pub(crate) fn scan_root(
                 out.push(PrunedCandidate {
                     triple: t,
                     root_mode: Some(mode),
-                    cost: t.cost + wcost[root * m + mode] + delete_constant,
-                    power: t.power + wpower[mode],
+                    cost: t.cost + view.wcost[root * m + mode] + delete_constant,
+                    power: t.power + view.wpower[mode],
                 });
             }
         }
@@ -670,20 +816,14 @@ pub(crate) fn best_candidate_within(
 /// state (bit-exact re-merge matching, see module docs). Shared by
 /// [`PrunedPowerDp::reconstruct`] and the incremental solver.
 pub(crate) fn reconstruct_in(
-    instance: &Instance,
-    flat: &FlatTree,
+    view: &DpView<'_>,
     tables: &[Vec<Triple>],
-    wcost: &[f64],
-    wpower: &[f64],
     candidate: &PrunedCandidate,
 ) -> Result<Placement, ModelError> {
-    let mut placement = Placement::with_slots(flat.len());
+    let mut placement = Placement::with_slots(view.flat.len());
     reconstruct_seeded(
-        instance,
-        flat,
+        view,
         tables,
-        wcost,
-        wpower,
         candidate,
         None,
         &mut placement,
@@ -706,18 +846,15 @@ pub(crate) fn reconstruct_in(
 /// `p` as usual, *overwriting* the seed: every child slot is explicitly
 /// set or cleared, so stale seed servers cannot leak through an expanded
 /// region.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn reconstruct_seeded(
-    instance: &Instance,
-    flat: &FlatTree,
+    view: &DpView<'_>,
     tables: &[Vec<Triple>],
-    wcost: &[f64],
-    wpower: &[f64],
     candidate: &PrunedCandidate,
     inters: Option<&[Vec<Vec<Triple>>]>,
     placement: &mut Placement,
     visit: &mut dyn FnMut(usize, &Triple) -> bool,
 ) -> Result<(), ModelError> {
+    let flat = view.flat;
     let root_node = flat.node_at(flat.root_position());
     match candidate.root_mode {
         Some(mode) => placement.insert(root_node, mode),
@@ -725,10 +862,11 @@ pub(crate) fn reconstruct_seeded(
             placement.remove(root_node);
         }
     }
-    let modes = instance.modes();
-    let wmax = instance.max_capacity();
+    let modes = view.instance.modes();
+    let wmax = view.instance.max_capacity();
     let m = modes.count();
 
+    let mut scratch = MergeScratch::default();
     let mut scratch_inter: Vec<Vec<Triple>> = Vec::new();
     let mut work: Vec<(usize, Triple)> = vec![(flat.root_position(), candidate.triple)];
     while let Some((p, target)) = work.pop() {
@@ -750,24 +888,21 @@ pub(crate) fn reconstruct_seeded(
         let inter: &[Vec<Triple>] = match inters {
             Some(all) => &all[p],
             None => {
-                scratch_inter.clear();
-                scratch_inter.push(vec![Triple {
+                if scratch_inter.len() < children.len() {
+                    scratch_inter.resize_with(children.len(), Vec::new);
+                }
+                scratch_inter[0].clear();
+                scratch_inter[0].push(Triple {
                     flow: flat.client_load(p),
                     cost: 0.0,
                     power: 0.0,
-                }]);
-                for &child in &children[..children.len() - 1] {
-                    let next = merge(
-                        instance,
-                        wcost,
-                        wpower,
-                        child as usize,
-                        scratch_inter.last().expect("non-empty"),
-                        &tables[child as usize],
-                    );
-                    scratch_inter.push(next);
+                });
+                for (k, &child) in children[..children.len() - 1].iter().enumerate() {
+                    let child = child as usize;
+                    merge_into(view, child, &scratch_inter[k], &tables[child], &mut scratch);
+                    std::mem::swap(&mut scratch_inter[k + 1], &mut scratch.out);
                 }
-                &scratch_inter
+                &scratch_inter[..children.len()]
             }
         };
 
@@ -793,8 +928,9 @@ pub(crate) fn reconstruct_seeded(
                         if let Some(first) = modes.mode_for_load(c.flow) {
                             for mode in first..m {
                                 #[allow(clippy::float_cmp)]
-                                if l.cost + c.cost + wcost[child as usize * m + mode] == cur.cost
-                                    && l.power + c.power + wpower[mode] == cur.power
+                                if l.cost + c.cost + view.wcost[child as usize * m + mode]
+                                    == cur.cost
+                                    && l.power + c.power + view.wpower[mode] == cur.power
                                 {
                                     found = Some((*l, *c, Some(mode)));
                                     break 'search;
@@ -845,30 +981,20 @@ impl<'a> PrunedPowerDp<'a> {
         }
         s.tables.resize_with(n, Vec::new);
 
+        let view = DpView {
+            instance,
+            flat: &s.flat,
+            wcost: &s.wcost,
+            wpower: &s.wpower,
+        };
         for p in s.flat.positions() {
-            compute_position(
-                instance,
-                &s.flat,
-                &s.wcost,
-                &s.wpower,
-                p,
-                &mut s.tables,
-                &mut s.cur,
-                &mut s.next,
-                &mut s.kept,
-                &mut s.served,
-                &mut s.served_kept,
-                &mut s.merge,
-            );
+            compute_position(&view, p, &mut s.tables, &mut s.cur, &mut s.merge);
         }
 
         let mut candidates = Vec::new();
         scan_root(
-            instance,
-            &s.flat,
+            &view,
             &s.tables[s.flat.root_position()],
-            &s.wcost,
-            &s.wpower,
             delete_constant,
             &mut candidates,
         );
@@ -923,14 +1049,13 @@ impl<'a> PrunedPowerDp<'a> {
     pub fn reconstruct(&self, candidate: &PrunedCandidate) -> Result<Placement, ModelError> {
         let s = &self.scratch;
         let _ = self.delete_constant;
-        reconstruct_in(
-            self.instance,
-            &s.flat,
-            &s.tables,
-            &s.wcost,
-            &s.wpower,
-            candidate,
-        )
+        let view = DpView {
+            instance: self.instance,
+            flat: &s.flat,
+            wcost: &s.wcost,
+            wpower: &s.wpower,
+        };
+        reconstruct_in(&view, &s.tables, candidate)
     }
 }
 
@@ -972,6 +1097,192 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use replica_model::{CostModel, ModeSet, PowerModel, PreExisting, Solution};
     use replica_tree::{generate, GeneratorConfig};
+
+    /// Allocating [`prune_into`].
+    fn prune(entries: &mut Vec<Triple>, wmax: u64) {
+        let mut kept = Vec::new();
+        prune_into(entries, &mut kept, &mut Vec::new(), wmax);
+        *entries = kept;
+    }
+
+    /// A value on a coarse grid plus up to two ulps of jitter, so that
+    /// sums of distinct addends round to the same `f64` (never `-0.0`,
+    /// which no table can hold: every entry is a sum seeded with `+0.0`).
+    fn jittered(rng: &mut StdRng, grid: std::ops::Range<i64>, step: f64) -> f64 {
+        let mut x = rng.random_range(grid) as f64 * step;
+        for _ in 0..rng.random_range(0..3) {
+            x = if rng.random_bool(0.5) {
+                x.next_up()
+            } else {
+                x.next_down()
+            };
+        }
+        if x == 0.0 {
+            0.0
+        } else {
+            x
+        }
+    }
+
+    /// A random pruned table: flows `0..=wmax`, powers and costs (negative
+    /// ones included) from grid-plus-jitter draws on `costs`.
+    fn random_front(
+        rng: &mut StdRng,
+        wmax: u64,
+        max_len: usize,
+        costs: (std::ops::Range<i64>, f64),
+    ) -> Vec<Triple> {
+        let n = rng.random_range(1..=max_len);
+        let mut entries: Vec<Triple> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let entry = match entries.last() {
+                // A twin one ulp dearer and cheaper in power: both stay
+                // on the front, and most sums round them together.
+                Some(&t) if rng.random_bool(0.3) => Triple {
+                    cost: t.cost.next_up(),
+                    power: t.power - 0.25,
+                    ..t
+                },
+                _ => Triple {
+                    flow: rng.random_range(0..=wmax),
+                    cost: jittered(rng, costs.0.clone(), costs.1),
+                    power: jittered(rng, 0..256, 0.25),
+                },
+            };
+            entries.push(entry);
+        }
+        prune(&mut entries, wmax);
+        entries
+    }
+
+    /// Every feasible pair and every served candidate, pruned: the merge
+    /// by definition, with no collapse of the served sources.
+    fn naive_merge(
+        modes: &ModeSet,
+        wcost: &[f64],
+        wpower: &[f64],
+        left: &[Triple],
+        child: &[Triple],
+    ) -> Vec<Triple> {
+        let mut candidates = Vec::new();
+        for l in left {
+            for c in child {
+                if l.flow + c.flow <= modes.max_capacity() {
+                    candidates.push(Triple {
+                        flow: l.flow + c.flow,
+                        cost: l.cost + c.cost,
+                        power: l.power + c.power,
+                    });
+                }
+                if let Some(first) = modes.mode_for_load(c.flow) {
+                    for mode in first..modes.count() {
+                        candidates.push(Triple {
+                            flow: l.flow,
+                            cost: l.cost + c.cost + wcost[mode],
+                            power: l.power + c.power + wpower[mode],
+                        });
+                    }
+                }
+            }
+        }
+        prune(&mut candidates, modes.max_capacity());
+        candidates
+    }
+
+    /// `(flow, cost bits, power bits)` in table order.
+    fn bits(table: &[Triple]) -> Vec<(u64, u64, u64)> {
+        table
+            .iter()
+            .map(|t| (t.flow, t.cost.to_bits(), t.power.to_bits()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn staircase_kernel_matches_direct_path(seed in 0u64..1 << 62) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let wmax = rng.random_range(3..=12u64);
+            let mut caps = vec![rng.random_range(1..wmax), wmax];
+            if rng.random_bool(0.5) {
+                let extra = rng.random_range(1..wmax);
+                if !caps.contains(&extra) {
+                    caps.push(extra);
+                    caps.sort_unstable();
+                }
+            }
+            let modes = ModeSet::new(caps).unwrap();
+            let m = modes.count();
+            // Reuse weights are negative (reuse cancels a deletion).
+            let wcost: Vec<f64> = (0..m).map(|_| jittered(&mut rng, -50..50, 0.01)).collect();
+            let wpower: Vec<f64> = (0..m).map(|_| jittered(&mut rng, 1..400, 0.25)).collect();
+            // One long-lived scratch per path, and a chain of merges that
+            // feeds each output back as the next left table, as a fold does.
+            let (mut stair, mut direct) = (MergeScratch::default(), MergeScratch::default());
+            // Few grid points, so a flow group often holds costs a few
+            // ulps apart; the decimal grid also rounds on every sum.
+            let costs = if rng.random_bool(0.5) {
+                (-8..64, 0.125)
+            } else {
+                (13_900..14_000, 0.001)
+            };
+            // A one- or two-entry left table leaves most output flows
+            // with a single row, whose normalization no merge repairs.
+            let left_len = [1, 2, 40][rng.random_range(0..3usize)];
+            let mut left = random_front(&mut rng, wmax, left_len, costs.clone());
+            for step in 0..4 {
+                let child = random_front(&mut rng, wmax, 60, costs.clone());
+                merge_staircase(&modes, &wcost, &wpower, &left, &child, &mut stair);
+                merge_direct(&modes, &wcost, &wpower, &left, &child, &mut direct);
+                let naive = naive_merge(&modes, &wcost, &wpower, &left, &child);
+                proptest::prop_assert_eq!(bits(&stair.out), bits(&naive), "merge {}", step);
+                proptest::prop_assert_eq!(bits(&direct.out), bits(&naive), "merge {}", step);
+                if stair.out.is_empty() {
+                    break;
+                }
+                left = std::mem::take(&mut stair.out);
+            }
+        }
+    }
+
+    #[test]
+    fn staircase_rows_collapse_equal_rounded_costs() {
+        // Two distinct child costs that one left cost rounds together:
+        // the row must keep only the lower power at that cost.
+        let (x, c1) = (10.0f64, 3.973f64);
+        let c0 = c1.next_down();
+        assert_ne!(c0, c1);
+        assert_eq!(x + c0, x + c1, "precondition: the sums collide");
+        let modes = ModeSet::new(vec![2, 4]).unwrap();
+        let (wcost, wpower) = ([0.5, -0.25], [3.0, 7.0]);
+        let left = [Triple {
+            flow: 0,
+            cost: x,
+            power: 1.0,
+        }];
+        let child = [
+            Triple {
+                flow: 1,
+                cost: c0,
+                power: 5.0,
+            },
+            Triple {
+                flow: 1,
+                cost: c1,
+                power: 4.0,
+            },
+        ];
+        let (mut stair, mut direct) = (MergeScratch::default(), MergeScratch::default());
+        merge_staircase(&modes, &wcost, &wpower, &left, &child, &mut stair);
+        merge_direct(&modes, &wcost, &wpower, &left, &child, &mut direct);
+        let naive = naive_merge(&modes, &wcost, &wpower, &left, &child);
+        assert_eq!(bits(&stair.out), bits(&naive));
+        assert_eq!(bits(&direct.out), bits(&naive));
+        let flow1: Vec<_> = stair.out.iter().filter(|t| t.flow == 1).collect();
+        assert_eq!(flow1.len(), 1, "{flow1:?}");
+        assert_eq!(flow1[0].power, 5.0);
+    }
 
     fn random_instance(seed: u64, nodes: usize, pre_count: usize) -> Instance {
         let mut rng = StdRng::seed_from_u64(seed);

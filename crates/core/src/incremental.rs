@@ -36,7 +36,7 @@
 
 use crate::dp_power_pruned::{
     best_candidate_within, compute_position_cached, deletion_constant, fill_weights,
-    reconstruct_seeded, scan_root, MergeScratch, PrunedCandidate, Served, Triple,
+    reconstruct_seeded, scan_root, DpView, MergeScratch, PrunedCandidate, Triple,
 };
 use crate::greedy::{greedy_min_replicas_flat, GreedyScratch};
 use replica_model::{le_tolerant, Instance, ModePolicy, ModelError, Placement, Solution};
@@ -90,12 +90,7 @@ pub struct IncrementalDp {
     direct: Vec<bool>,
     direct_list: Vec<usize>,
     candidates: Vec<PrunedCandidate>,
-    // Merge scratch (same shape as `PrunedScratch`'s buffers).
-    next: Vec<Triple>,
-    kept: Vec<Triple>,
-    served: Vec<Served>,
-    served_kept: Vec<Served>,
-    merge_scratch: MergeScratch,
+    merge: MergeScratch,
     greedy: GreedyScratch,
     last_recomputed: usize,
     // Reconstruct-reuse cache. The backtrack below position `p` is a
@@ -141,11 +136,7 @@ impl IncrementalDp {
             direct: vec![false; n],
             direct_list: Vec::new(),
             candidates: Vec::new(),
-            next: Vec::new(),
-            kept: Vec::new(),
-            served: Vec::new(),
-            served_kept: Vec::new(),
-            merge_scratch: MergeScratch::default(),
+            merge: MergeScratch::default(),
             greedy: GreedyScratch::default(),
             last_recomputed: 0,
             prev_placement: None,
@@ -155,24 +146,28 @@ impl IncrementalDp {
         };
         fill_weights(&dp.instance, &dp.flat, &mut dp.wcost, &mut dp.wpower);
         dp.tables.resize_with(n, Vec::new);
+        let view = DpView {
+            instance: &dp.instance,
+            flat: &dp.flat,
+            wcost: &dp.wcost,
+            wpower: &dp.wpower,
+        };
         for p in dp.flat.positions() {
             compute_position_cached(
-                &dp.instance,
-                &dp.flat,
-                &dp.wcost,
-                &dp.wpower,
+                &view,
                 p,
                 0,
                 &mut dp.tables,
                 &mut dp.inters[p],
-                &mut dp.next,
-                &mut dp.kept,
-                &mut dp.served,
-                &mut dp.served_kept,
-                &mut dp.merge_scratch,
+                &mut dp.merge,
             );
         }
-        dp.rescan_root();
+        scan_root(
+            &view,
+            &dp.tables[dp.flat.root_position()],
+            dp.delete_constant,
+            &mut dp.candidates,
+        );
         dp
     }
 
@@ -248,6 +243,12 @@ impl IncrementalDp {
     pub fn resolve(&mut self, cost_bound: f64) -> Result<(Placement, f64, f64), ModelError> {
         self.dirty.sweep(&self.flat, &mut self.sweep);
         self.last_recomputed = self.sweep.len();
+        let view = DpView {
+            instance: &self.instance,
+            flat: &self.flat,
+            wcost: &self.wcost,
+            wpower: &self.wpower,
+        };
         for &p in &self.sweep {
             self.in_sweep[p] = true;
         }
@@ -270,19 +271,12 @@ impl IncrementalDp {
                     .unwrap_or(0)
             };
             compute_position_cached(
-                &self.instance,
-                &self.flat,
-                &self.wcost,
-                &self.wpower,
+                &view,
                 p,
                 start,
                 &mut self.tables,
                 &mut self.inters[p],
-                &mut self.next,
-                &mut self.kept,
-                &mut self.served,
-                &mut self.served_kept,
-                &mut self.merge_scratch,
+                &mut self.merge,
             );
         }
         for &p in &self.sweep {
@@ -291,7 +285,12 @@ impl IncrementalDp {
         for p in self.direct_list.drain(..) {
             self.direct[p] = false;
         }
-        self.rescan_root();
+        scan_root(
+            &view,
+            &self.tables[self.flat.root_position()],
+            self.delete_constant,
+            &mut self.candidates,
+        );
         if self.candidates.is_empty() {
             return Err(ModelError::Infeasible(
                 "no feasible placement exists for this instance".into(),
@@ -316,11 +315,8 @@ impl IncrementalDp {
                 Some(prev) => {
                     placement = prev.clone();
                     reconstruct_seeded(
-                        &self.instance,
-                        &self.flat,
+                        &view,
                         &self.tables,
-                        &self.wcost,
-                        &self.wpower,
                         &best,
                         Some(&self.inters),
                         &mut placement,
@@ -337,11 +333,8 @@ impl IncrementalDp {
                 None => {
                     placement = Placement::with_slots(self.flat.len());
                     reconstruct_seeded(
-                        &self.instance,
-                        &self.flat,
+                        &view,
                         &self.tables,
-                        &self.wcost,
-                        &self.wpower,
                         &best,
                         Some(&self.inters),
                         &mut placement,
@@ -408,18 +401,6 @@ impl IncrementalDp {
                 "greedy sweep finds nothing under cost {cost_bound}"
             ))
         })
-    }
-
-    fn rescan_root(&mut self) {
-        scan_root(
-            &self.instance,
-            &self.flat,
-            &self.tables[self.flat.root_position()],
-            &self.wcost,
-            &self.wpower,
-            self.delete_constant,
-            &mut self.candidates,
-        );
     }
 }
 

@@ -59,7 +59,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How shard workers are executed.
 #[derive(Clone, Debug)]
@@ -144,8 +144,15 @@ pub fn run_plan_with(
     merge_reports_fenced(plan, &reports, &winning)
 }
 
-/// How often the coordinator polls worker exit status and heartbeats.
+/// How often the coordinator polls worker heartbeats (and launches,
+/// reaps and stale-kills).
 const POLL_INTERVAL: Duration = Duration::from_millis(150);
+
+/// How often, between polls, the coordinator checks whether a worker
+/// has exited. A poll runs as soon as one has, so a finished shard is
+/// reaped within this, not within a whole [`POLL_INTERVAL`] — otherwise
+/// a run's wall time would move in `POLL_INTERVAL` steps.
+const EXIT_CHECK_INTERVAL: Duration = Duration::from_millis(5);
 
 /// How many trailing bytes of a failed worker's stderr make it into
 /// the error message.
@@ -616,7 +623,7 @@ fn supervise(
         if inflight.is_empty() && sched.all_settled() {
             break;
         }
-        std::thread::sleep(POLL_INTERVAL);
+        wait_for_poll(&mut inflight);
     }
 
     sobs.flush();
@@ -635,6 +642,27 @@ fn supervise(
         write_text(trace, &assemble_trace_text(dir)?)?;
     }
     Ok((pool, winning))
+}
+
+/// Sleeps until the next poll is due, or until some in-flight worker
+/// has exited (or can no longer be waited on), whichever comes first.
+/// `try_wait` keeps a reaped child's status, so the poll that follows
+/// sees the same exit.
+fn wait_for_poll(inflight: &mut [Inflight]) {
+    let deadline = Instant::now() + POLL_INTERVAL;
+    loop {
+        if inflight
+            .iter_mut()
+            .any(|w| !matches!(w.child.try_wait(), Ok(None)))
+        {
+            return;
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return;
+        }
+        std::thread::sleep(left.min(EXIT_CHECK_INTERVAL));
+    }
 }
 
 /// Spawns one `fleetd work` process for `(shard, attempt)`.
@@ -839,6 +867,37 @@ mod tests {
         let merged = run_plan(&plan, &Workers::InProcess).unwrap();
         let proof = prove_against_single_process(&plan, &merged).unwrap();
         assert!(proof.contains("merged == single-process"), "{proof}");
+    }
+
+    #[test]
+    fn a_worker_exit_cuts_the_poll_wait_short() {
+        // With nothing in flight the wait is a whole poll interval.
+        let t = Instant::now();
+        wait_for_poll(&mut []);
+        assert!(t.elapsed() >= POLL_INTERVAL);
+
+        // A worker that has exited ends the wait at the first check.
+        let mut child = Command::new(std::env::current_exe().unwrap())
+            .arg("--list")
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        let status = child.wait().unwrap();
+        let mut inflight = [Inflight {
+            shard: 0,
+            attempt: 0,
+            child,
+            out: PathBuf::new(),
+            stderr_path: PathBuf::new(),
+            hb_path: PathBuf::new(),
+            launched_ms: 0,
+        }];
+        let t = Instant::now();
+        wait_for_poll(&mut inflight);
+        assert!(t.elapsed() < POLL_INTERVAL, "waited {:?}", t.elapsed());
+        // The poll that follows still sees the exit.
+        assert_eq!(inflight[0].child.try_wait().unwrap(), Some(status));
     }
 
     #[test]

@@ -31,6 +31,7 @@ use crate::error::FleetdError;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The ownership record one claimer publishes for one shard attempt.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -97,11 +98,15 @@ pub fn try_claim(dir: &Path, record: &ClaimRecord) -> Result<bool, FleetdError> 
     };
     let json =
         serde_json::to_string(record).map_err(|e| io(&path, format!("serializing claim: {e}")))?;
+    // Unique per call, not just per process: claimers racing inside one
+    // process must not share (and overwrite) one temp file.
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let tmp = dir.join(format!(
-        "shard-{}.a{}.claim.{}.tmp",
+        "shard-{}.a{}.claim.{}.{}.tmp",
         record.shard,
         record.attempt,
-        std::process::id()
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
     ));
     fs::write(&tmp, json).map_err(|e| io(&tmp, format!("cannot write claim temp: {e}")))?;
     let won = match fs::hard_link(&tmp, &path) {
@@ -178,21 +183,25 @@ mod tests {
     #[test]
     fn racing_claimers_produce_exactly_one_winner() {
         let dir = pool_dir("race");
-        let winners: usize = std::thread::scope(|scope| {
+        let won: Vec<bool> = std::thread::scope(|scope| {
             (0..8)
                 .map(|slot| {
                     let dir = dir.clone();
                     scope.spawn(move || {
                         try_claim(&dir, &ClaimRecord::new(0, 0, format!("slot-{slot}"))).unwrap()
-                            as usize
                     })
                 })
                 .collect::<Vec<_>>()
                 .into_iter()
                 .map(|h| h.join().unwrap())
-                .sum()
+                .collect()
         });
-        assert_eq!(winners, 1, "exactly one of 8 racing claimers may win");
+        let winners: Vec<usize> = (0..won.len()).filter(|&slot| won[slot]).collect();
+        assert_eq!(winners.len(), 1, "exactly one of 8 racing claimers may win");
+        // The published record is the winner's own, not a racing
+        // claimer's temp content.
+        let record = load_claim(&dir, 0, 0).unwrap();
+        assert_eq!(record.owner, format!("slot-{}", winners[0]));
         let _ = fs::remove_dir_all(&dir);
     }
 }
