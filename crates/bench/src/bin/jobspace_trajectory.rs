@@ -1,16 +1,17 @@
 //! Emits `BENCH_jobspace.json` — the committed perf-trajectory artifact
 //! for the indexed lazy `JobSpace` refactor.
 //!
-//! Measures, over the same workload as `benches/jobspace.rs` (20
-//! standard scenarios × 8 instances = 160 jobs, split 16 ways):
+//! Measures, over 20 standard scenarios × 8 instances = 160 jobs, split
+//! 16 ways:
 //!
 //! * `eager_campaign_generation_ms` — materializing the whole campaign's
 //!   job list (the historical per-worker startup cost);
 //! * `lazy_shard_generation_ms` — generating only shard 0's jobs through
 //!   the space (`O(shard)`);
 //! * `worker_eager_ms` / `worker_lazy_ms` — a shard worker end to end
-//!   (generation + solving its range with `greedy_power`), eager vs
-//!   lazy.
+//!   (generation + solving its range with `greedy_power` through
+//!   [`Fleet::run_shard`], the recording path real workers run), eager
+//!   vs lazy.
 //!
 //! Each number is the median of 9 timed repetitions after one warm-up.
 //! Usage: `cargo run --release -p replica-bench --bin jobspace_trajectory
@@ -18,6 +19,7 @@
 //! directory — the repository root under `cargo run`).
 
 use replica_bench::standard_campaign;
+use replica_engine::obs::Obs;
 use replica_engine::{Fleet, JobSpace, Registry};
 use std::hint::black_box;
 use std::time::Instant;
@@ -50,12 +52,11 @@ fn main() {
     // Built through the declarative spec layer, like every other
     // campaign in the workspace.
     let campaign = standard_campaign(SEED, NODES, PER_SCENARIO, ["greedy_power"]);
-    let scenarios = campaign.scenarios.clone();
     let space = campaign.space();
     let jobs = space.len();
     let shard_len = jobs / SHARDS;
 
-    let eager_generation = median_ms(|| Fleet::jobs_from_scenarios(&scenarios, SEED, PER_SCENARIO));
+    let eager_generation = median_ms(|| campaign.jobs());
     let lazy_shard_generation = median_ms(|| {
         for i in 0..shard_len {
             black_box(space.job(i));
@@ -67,14 +68,15 @@ fn main() {
         .expect("validated campaigns configure valid fleets");
     let range = 0..shard_len;
     let worker_eager = median_ms(|| {
-        let jobs = Fleet::jobs_from_scenarios(&scenarios, SEED, PER_SCENARIO);
-        fleet.run_shard(&jobs, range.clone())
+        let jobs = campaign.jobs();
+        fleet.run_shard(&jobs[..], range.clone(), |_| {}, &Obs::noop(), None)
     });
-    let worker_lazy = median_ms(|| fleet.run_space_shard(&space, range.clone()));
+    let worker_lazy =
+        median_ms(|| fleet.run_shard(&space, range.clone(), |_| {}, &Obs::noop(), None));
 
     let json = format!(
         "{{\n  \"bench\": \"jobspace\",\n  \"campaign\": {{ \"scenarios\": {}, \"per_scenario\": {}, \"nodes\": {}, \"jobs\": {} }},\n  \"shards\": {},\n  \"shard_jobs\": {},\n  \"eager_campaign_generation_ms\": {:.3},\n  \"lazy_shard_generation_ms\": {:.3},\n  \"generation_speedup\": {:.2},\n  \"worker_eager_ms\": {:.3},\n  \"worker_lazy_ms\": {:.3},\n  \"worker_speedup\": {:.2}\n}}\n",
-        scenarios.len(),
+        campaign.scenarios.len(),
         PER_SCENARIO,
         NODES,
         jobs,

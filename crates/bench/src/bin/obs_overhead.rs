@@ -1,19 +1,17 @@
 //! Emits `BENCH_obs.json` — the committed overhead artifact for the
 //! `replica-obs` telemetry layer.
 //!
-//! Measures, over the same workload as `benches/obs.rs` (20 standard
-//! scenarios × 4 instances across the default
-//! solver lineup), the full fleet run:
+//! Measures, over 20 standard scenarios × 4 instances across the
+//! default solver lineup, the full fleet run:
 //!
-//! * `untraced_ms` — [`Fleet::run_space`], no obs handle anywhere;
-//! * `noop_ms` — `run_space_traced` with [`Obs::noop()`] (the pinned
-//!   claim: indistinguishable from untraced);
-//! * `jsonl_ms` — `run_space_traced` tracing every span, progress
-//!   event, counter and histogram to a JSONL file at `Solve`
-//!   verbosity (the pinned claim: < 5% over untraced).
+//! * `untraced_ms` — [`Fleet::run`] with [`Obs::noop()`], the handle
+//!   every untraced run passes;
+//! * `jsonl_ms` — [`Fleet::run`] tracing every span, progress event,
+//!   counter and histogram to a JSONL file at `Solve` verbosity
+//!   (budget: 5% over untraced).
 //!
 //! Each number is the **minimum** of 15 timed repetitions after one
-//! warm-up, with the three variants interleaved round-robin — the
+//! warm-up, with the two variants interleaved round-robin — the
 //! minimum is the standard robust statistic for an overhead comparison
 //! (it measures the code, medians measure the machine's background
 //! load too), and interleaving decorrelates slow drift.
@@ -74,13 +72,12 @@ fn main() {
 
     // Warm-up, then interleave the variants round-robin and take each
     // one's minimum.
-    black_box(fleet.run_space(&space));
-    black_box(fleet.run_space_traced(&space, &jsonl_obs));
-    let (mut untraced, mut noop, mut jsonl) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    black_box(fleet.run(&space, &noop_obs));
+    black_box(fleet.run(&space, &jsonl_obs));
+    let (mut untraced, mut jsonl) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..REPS {
-        untraced = untraced.min(time_ms(|| fleet.run_space(&space)));
-        noop = noop.min(time_ms(|| fleet.run_space_traced(&space, &noop_obs)));
-        jsonl = jsonl.min(time_ms(|| fleet.run_space_traced(&space, &jsonl_obs)));
+        untraced = untraced.min(time_ms(|| fleet.run(&space, &noop_obs)));
+        jsonl = jsonl.min(time_ms(|| fleet.run(&space, &jsonl_obs)));
     }
     drop(jsonl_obs);
     let text = std::fs::read_to_string(&trace_path).expect("trace file readable");
@@ -100,14 +97,12 @@ fn main() {
 
     let pct = |traced: f64| (traced / untraced - 1.0) * 100.0;
     let json = format!(
-        "{{\n  \"bench\": \"obs\",\n  \"campaign\": {{ \"scenarios\": {}, \"per_scenario\": {}, \"nodes\": {}, \"jobs\": {} }},\n  \"solvers\": \"dp_power,greedy_power,heur_power_greedy\",\n  \"untraced_ms\": {:.3},\n  \"noop_ms\": {:.3},\n  \"noop_overhead_pct\": {:.2},\n  \"jsonl_ms\": {:.3},\n  \"jsonl_overhead_pct\": {:.2},\n  \"trace_lines\": {},\n  \"parse_ms\": {:.3},\n  \"parse_lines_per_sec\": {:.0},\n  \"analyze_ms\": {:.3},\n  \"analyze_lines_per_sec\": {:.0}\n}}\n",
+        "{{\n  \"bench\": \"obs\",\n  \"campaign\": {{ \"scenarios\": {}, \"per_scenario\": {}, \"nodes\": {}, \"jobs\": {} }},\n  \"solvers\": \"dp_power,greedy_power,heur_power_greedy\",\n  \"untraced_ms\": {:.3},\n  \"jsonl_ms\": {:.3},\n  \"jsonl_overhead_pct\": {:.2},\n  \"trace_lines\": {},\n  \"parse_ms\": {:.3},\n  \"parse_lines_per_sec\": {:.0},\n  \"analyze_ms\": {:.3},\n  \"analyze_lines_per_sec\": {:.0}\n}}\n",
         campaign.scenarios.len(),
         PER_SCENARIO,
         NODES,
         jobs,
         untraced,
-        noop,
-        pct(noop),
         jsonl,
         pct(jsonl),
         lines,

@@ -1,10 +1,10 @@
 //! # `replica-bench` — benchmark suite fixtures
 //!
 //! Shared deterministic instance builders for the criterion benches under
-//! `benches/` (DP ablations, heuristic head-to-heads, fleet-level sweeps,
-//! lazy-vs-eager job generation in `benches/jobspace.rs`) and the
-//! `timing` / `jobspace_trajectory` binaries (the latter emits the
-//! committed `BENCH_jobspace.json` perf-trajectory artifact). Everything
+//! `benches/` (DP ablations, heuristic head-to-heads, fleet-level sweeps)
+//! and the `timing` / `jobspace_trajectory` binaries (the latter emits
+//! the committed `BENCH_jobspace.json` perf-trajectory artifact, which
+//! times lazy-vs-eager job generation). Everything
 //! is seeded so runs are comparable across machines and commits;
 //! dispatch goes through the engine registry, so what is benched is
 //! exactly what fleet runs execute.
@@ -88,18 +88,8 @@ pub fn min_cost_instance(seed: u64, nodes: usize, pre_count: usize) -> Instance 
 }
 
 /// A small standard fleet (every engine scenario family at `nodes`
-/// internal nodes, `per_scenario` instances each) for fleet-level benches
-/// and smoke runs — eagerly materialized; benches exercising the lazy
-/// path go through [`standard_campaign`] instead.
-pub fn standard_fleet(
-    seed: u64,
-    nodes: usize,
-    per_scenario: usize,
-) -> Vec<replica_engine::FleetJob> {
-    standard_campaign(seed, nodes, per_scenario, ["greedy_power"]).jobs()
-}
-
-/// The same standard fleet as a validated campaign, built through the
+/// internal nodes, `per_scenario` instances each) as a validated
+/// campaign, built through the
 /// engine's declarative spec layer ([`replica_engine::CampaignSpec`]) —
 /// what is benched is exactly what spec-driven fleet runs execute:
 /// `campaign.space()` is the lazy job space, `campaign.fleet_config()`

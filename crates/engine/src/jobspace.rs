@@ -14,8 +14,8 @@
 //!
 //! 1. **Index identity** — [`JobSpace::job`]`(i)` is identical,
 //!    field-for-field, to the `i`-th entry of the eagerly materialized
-//!    job list ([`ScenarioSpace::materialize`], the body behind
-//!    `Fleet::jobs_from_scenarios`). Instance generation seeds derive
+//!    job list ([`ScenarioSpace::materialize`]). Instance generation
+//!    seeds derive
 //!    from `(scenario name, fleet seed, index-within-scenario)` and the
 //!    per-job solver seed from the **global** index
 //!    ([`seeding::mix`](crate::seeding::mix)`(fleet_seed, i)`) — never
@@ -63,9 +63,9 @@ pub trait JobSpace: Sync {
 }
 
 /// An eagerly materialized job list is itself a (trivial) job space:
-/// `job(i)` clones entry `i`. This is the thin adapter behind the
-/// `&[FleetJob]` fleet entry points — pre-built lists keep working, at
-/// the cost of one instance clone per solve batch.
+/// `job(i)` clones entry `i`. Pre-built lists therefore run through the
+/// same fleet entry points, at the cost of one instance clone per solve
+/// batch.
 impl JobSpace for [FleetJob] {
     fn len(&self) -> usize {
         self.len()
@@ -82,8 +82,8 @@ impl JobSpace for [FleetJob] {
 ///
 /// Global index `i` maps to scenario `i / per_scenario`, within-scenario
 /// index `i % per_scenario`; the instance is
-/// [`Scenario::instance`]`(seed, within)` — exactly what the eager
-/// `Fleet::jobs_from_scenarios` builds, without building it.
+/// [`Scenario::instance`]`(seed, within)` — exactly what
+/// [`ScenarioSpace::materialize`] builds eagerly, without building it.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioSpace<'a> {
     scenarios: &'a [Scenario],

@@ -720,6 +720,7 @@ fn analysis_json(analysis: &Analysis, timing: bool) -> String {
 mod tests {
     use super::*;
     use crate::fleet::{Fleet, FleetConfig};
+    use crate::jobspace::ScenarioSpace;
     use crate::registry::Registry;
     use crate::scenarios::{Demand, Scenario, Topology};
 
@@ -733,8 +734,10 @@ mod tests {
             solvers: vec!["dp_power".into(), "greedy_power".into()],
             ..Default::default()
         };
-        let jobs = Fleet::jobs_from_scenarios(&scenarios, 2, 2);
-        Fleet::new(&registry, config).run(&jobs)
+        Fleet::new(&registry, config).run(
+            &ScenarioSpace::new(&scenarios, 2, 2),
+            &crate::obs::Obs::noop(),
+        )
     }
 
     #[test]

@@ -202,14 +202,6 @@ impl Solver for GreedySolver {
         }
     }
 
-    fn solve(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-    ) -> Result<SolveOutcome, EngineError> {
-        with_thread_arena(|arena| self.solve_traced_in(instance, options, &Span::disabled(), arena))
-    }
-
     // The arena entry point holds the real implementation: the flat layout
     // and flow buffers come from the caller's arena, so fleet threads
     // (which re-enter the greedy thousands of times) run allocation-free
@@ -258,10 +250,12 @@ impl Solver for MinCountDpSolver {
         }
     }
 
-    fn solve(
+    fn solve_traced_in(
         &self,
         instance: &Instance,
         _options: &SolveOptions,
+        _span: &Span,
+        _arena: &mut SolveArena,
     ) -> Result<SolveOutcome, EngineError> {
         let (result, wall) =
             timed(|| dp_mincost_nopre::solve_min_count(instance.tree(), instance.max_capacity()));
@@ -294,10 +288,12 @@ impl Solver for MinCostDpSolver {
         }
     }
 
-    fn solve(
+    fn solve_traced_in(
         &self,
         instance: &Instance,
         _options: &SolveOptions,
+        _span: &Span,
+        _arena: &mut SolveArena,
     ) -> Result<SolveOutcome, EngineError> {
         if instance.mode_count() != 1 {
             return Err(EngineError::Unsupported(
@@ -335,29 +331,11 @@ impl Solver for FullPowerDpSolver {
         }
     }
 
-    fn solve(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-    ) -> Result<SolveOutcome, EngineError> {
-        self.solve_traced(instance, options, &Span::disabled())
-    }
-
-    fn solve_traced(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-        span: &Span,
-    ) -> Result<SolveOutcome, EngineError> {
-        with_thread_arena(|arena| self.solve_traced_in(instance, options, span, arena))
-    }
-
-    // The one implementation serves all three entry points: `solve` passes
-    // a disabled span and both it and `solve_traced` borrow the thread
-    // arena, so the phases always run identically, tracing stays
-    // out-of-band by construction, and arena reuse is bit-invisible (the
-    // full DP keeps its hash tables fresh per solve — see the determinism
-    // notes in `replica_core::dp_power`).
+    // The provided `solve` passes a disabled span and the thread arena, so
+    // the phases always run identically, tracing stays out-of-band by
+    // construction, and arena reuse is bit-invisible (the full DP keeps
+    // its hash tables fresh per solve — see the determinism notes in
+    // `replica_core::dp_power`).
     fn solve_traced_in(
         &self,
         instance: &Instance,
@@ -431,24 +409,7 @@ impl Solver for PrunedPowerDpSolver {
         }
     }
 
-    fn solve(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-    ) -> Result<SolveOutcome, EngineError> {
-        self.solve_traced(instance, options, &Span::disabled())
-    }
-
-    fn solve_traced(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-        span: &Span,
-    ) -> Result<SolveOutcome, EngineError> {
-        with_thread_arena(|arena| self.solve_traced_in(instance, options, span, arena))
-    }
-
-    // One implementation for all three entry points; see `FullPowerDpSolver`.
+    // Traced and untraced solves share this body; see `FullPowerDpSolver`.
     fn solve_traced_in(
         &self,
         instance: &Instance,
@@ -512,14 +473,6 @@ impl Solver for GreedyPowerSolver {
             exact: false,
             amortized_sweep: true,
         }
-    }
-
-    fn solve(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-    ) -> Result<SolveOutcome, EngineError> {
-        with_thread_arena(|arena| self.solve_traced_in(instance, options, &Span::disabled(), arena))
     }
 
     // Arena entry point: the whole `W₁..=W_M` sweep shares one flat layout
@@ -590,10 +543,12 @@ impl Solver for ExhaustiveSolver {
         combos <= exhaustive::MAX_COMBINATIONS
     }
 
-    fn solve(
+    fn solve_traced_in(
         &self,
         instance: &Instance,
         options: &SolveOptions,
+        _span: &Span,
+        _arena: &mut SolveArena,
     ) -> Result<SolveOutcome, EngineError> {
         if !self.supports(instance) {
             return Err(EngineError::Unsupported(format!(
@@ -651,10 +606,12 @@ impl Solver for PowerGreedySolver {
         }
     }
 
-    fn solve(
+    fn solve_traced_in(
         &self,
         instance: &Instance,
         options: &SolveOptions,
+        _span: &Span,
+        _arena: &mut SolveArena,
     ) -> Result<SolveOutcome, EngineError> {
         let (result, wall) = timed(|| power_greedy::solve(instance, options.cost_bound));
         evaluated_outcome(
@@ -686,10 +643,12 @@ impl Solver for LocalSearchSolver {
         }
     }
 
-    fn solve(
+    fn solve_traced_in(
         &self,
         instance: &Instance,
         options: &SolveOptions,
+        _span: &Span,
+        _arena: &mut SolveArena,
     ) -> Result<SolveOutcome, EngineError> {
         let (result, wall) = timed(|| -> Result<_, ModelError> {
             let seed = power_greedy::solve(instance, options.cost_bound)?;
@@ -729,10 +688,12 @@ impl Solver for AnnealingSolver {
         }
     }
 
-    fn solve(
+    fn solve_traced_in(
         &self,
         instance: &Instance,
         options: &SolveOptions,
+        _span: &Span,
+        _arena: &mut SolveArena,
     ) -> Result<SolveOutcome, EngineError> {
         let (result, wall) = timed(|| -> Result<_, ModelError> {
             let seed = power_greedy::solve(instance, options.cost_bound)?;

@@ -44,7 +44,7 @@
 //!     .validate(&registry)
 //!     .unwrap();
 //! let fleet = Fleet::try_new(&registry, campaign.fleet_config()).unwrap();
-//! let report = fleet.run_space(&campaign.space());
+//! let report = fleet.run(&campaign.space(), &Obs::noop());
 //! assert_eq!(report.cell_count, campaign.job_count() * 2);
 //!
 //! // A bad spec fails at load time, with a suggestion:

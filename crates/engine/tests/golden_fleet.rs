@@ -14,6 +14,7 @@
 //! cross-checked against the eager path (which the equivalence suite
 //! keeps equal); both paths must keep matching these bytes.
 
+use replica_engine::obs::Obs;
 use replica_engine::{Demand, Fleet, FleetConfig, Registry, Scenario, ScenarioSpace, Topology};
 
 /// The deterministic table with per-line trailing alignment spaces
@@ -39,7 +40,7 @@ fn report(scenarios: &[Scenario], solvers: &[&str], seed: u64) -> replica_engine
         ..Default::default()
     };
     let fleet = Fleet::new(&registry, config);
-    fleet.run_space(&ScenarioSpace::new(scenarios, seed, 3))
+    fleet.run(&ScenarioSpace::new(scenarios, seed, 3), &Obs::noop())
 }
 
 #[test]

@@ -14,6 +14,7 @@
 //!   counter-backed via [`CountingSpace`]).
 
 use proptest::prelude::*;
+use replica_engine::obs::Obs;
 use replica_engine::{
     extended_families, CellResult, CountingSpace, Demand, Fleet, FleetConfig, FleetFold, JobSpace,
     Registry, Scenario, ScenarioSpace, Topology,
@@ -41,7 +42,7 @@ proptest! {
     ) {
         let scenarios = arbitrary_scenarios(offset, n_scenarios);
         let space = ScenarioSpace::new(&scenarios, seed, per_scenario);
-        let eager = Fleet::jobs_from_scenarios(&scenarios, seed, per_scenario);
+        let eager = space.materialize();
         prop_assert_eq!(space.len(), eager.len());
         for (i, job) in eager.iter().enumerate() {
             let lazy = space.job(i);
@@ -92,8 +93,8 @@ proptest! {
         let registry = Registry::with_all();
         let (scenarios, fleet) = split_fleet(&registry, seed);
         let per_scenario = 3;
-        let eager_jobs = Fleet::jobs_from_scenarios(&scenarios, seed, per_scenario);
-        let eager = fleet.run(&eager_jobs);
+        let eager_jobs = ScenarioSpace::new(&scenarios, seed, per_scenario).materialize();
+        let eager = fleet.run(&eager_jobs[..], &Obs::noop());
 
         let space = ScenarioSpace::new(&scenarios, seed, per_scenario);
         let n = space.len();
@@ -109,17 +110,23 @@ proptest! {
         for pair in bounds.windows(2) {
             // One recorded row per job of the range, replayed in order.
             let mut rows: Vec<RecordedRow> = Vec::new();
-            fleet.run_space_shard_with_observer(&space, pair[0]..pair[1], |cell| {
-                if rows.last().map(|(s, i, _)| (s.as_str(), *i))
-                    != Some((cell.scenario, cell.instance))
-                {
-                    rows.push((cell.scenario.to_string(), cell.instance, Vec::new()));
-                }
-                rows.last_mut()
-                    .expect("row pushed above")
-                    .2
-                    .push((cell.result.clone(), cell.wall_seconds));
-            });
+            fleet.run_shard(
+                &space,
+                pair[0]..pair[1],
+                |cell| {
+                    if rows.last().map(|(s, i, _)| (s.as_str(), *i))
+                        != Some((cell.scenario, cell.instance))
+                    {
+                        rows.push((cell.scenario.to_string(), cell.instance, Vec::new()));
+                    }
+                    rows.last_mut()
+                        .expect("row pushed above")
+                        .2
+                        .push((cell.result.clone(), cell.wall_seconds));
+                },
+                &Obs::noop(),
+                None,
+            );
             for (scenario, instance, row) in rows {
                 fold.fold_row(&scenario, instance, row);
             }
@@ -143,7 +150,10 @@ fn shard_runs_construct_only_their_range() {
     let space = CountingSpace::new(ScenarioSpace::new(&scenarios, 42, 3));
     assert_eq!(space.len(), 6);
 
-    let report = fleet.run_space_shard(&space, 2..5);
+    let report = fleet
+        .run_shard(&space, 2..5, |_| {}, &Obs::noop(), None)
+        .expect("no cancel token given")
+        .report;
     assert_eq!(
         space.generated(),
         3,
@@ -153,7 +163,10 @@ fn shard_runs_construct_only_their_range() {
 
     // The empty range constructs nothing at all.
     let before = space.generated();
-    let empty = fleet.run_space_shard(&space, 5..5);
+    let empty = fleet
+        .run_shard(&space, 5..5, |_| {}, &Obs::noop(), None)
+        .expect("no cancel token given")
+        .report;
     assert_eq!(space.generated(), before);
     assert_eq!(empty.cell_count, 0);
 }
@@ -163,8 +176,8 @@ fn full_lazy_run_equals_full_eager_run() {
     let registry = Registry::with_all();
     let (scenarios, fleet) = split_fleet(&registry, 7);
     let space = ScenarioSpace::new(&scenarios, 7, 3);
-    let lazy = fleet.run_space(&space);
-    let eager = fleet.run(&Fleet::jobs_from_scenarios(&scenarios, 7, 3));
+    let lazy = fleet.run(&space, &Obs::noop());
+    let eager = fleet.run(&space.materialize()[..], &Obs::noop());
     assert_eq!(lazy.digest(), eager.digest());
     assert_eq!(lazy.table_deterministic(), eager.table_deterministic());
 }

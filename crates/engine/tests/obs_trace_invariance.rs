@@ -40,7 +40,7 @@ fn campaign(seed: u64, solver_pick: usize, batch_jobs: usize) -> Campaign {
 fn run_with(campaign: &Campaign, obs: &Obs) -> FleetReport {
     let registry = Registry::with_all();
     let fleet = Fleet::try_new(&registry, campaign.fleet_config()).unwrap();
-    fleet.run_space_traced(&campaign.space(), obs)
+    fleet.run(&campaign.space(), obs)
 }
 
 proptest! {
@@ -98,10 +98,11 @@ proptest! {
 }
 
 /// The DP phase sub-spans ride the same invariant: `solve()` and
-/// `solve_traced()` are one code path, so their outcomes cannot differ
+/// `solve_traced_in()` are one code path, so their outcomes cannot differ
 /// — but pin it anyway, through the public solver API.
 #[test]
 fn phase_spans_do_not_change_solver_outcomes() {
+    use replica_engine::solver::with_thread_arena;
     use replica_engine::{Scenario, SolveOptions, Topology};
 
     let registry = Registry::with_all();
@@ -115,7 +116,9 @@ fn phase_spans_do_not_change_solver_outcomes() {
         let sink = Arc::new(MemorySink::new());
         let obs = Obs::new(sink.clone(), Verbosity::Solve);
         let span = obs.span("solve", name);
-        let traced = solver.solve_traced(&instance, &options, &span).unwrap();
+        let traced =
+            with_thread_arena(|arena| solver.solve_traced_in(&instance, &options, &span, arena))
+                .unwrap();
         drop(span);
 
         assert_eq!(plain.cost.to_bits(), traced.cost.to_bits(), "{name}");

@@ -11,6 +11,7 @@
 //!   the legacy-flag path both lean on.
 
 use proptest::prelude::*;
+use replica_engine::obs::Obs;
 use replica_engine::{
     extended_families, CampaignSpec, Fleet, OutputFormat, Registry, Scenario, ScenarioSet,
 };
@@ -140,7 +141,7 @@ proptest! {
 
         let run = |campaign: &replica_engine::Campaign| {
             let fleet = Fleet::try_new(&registry, campaign.fleet_config()).unwrap();
-            fleet.run_space(&campaign.space())
+            fleet.run(&campaign.space(), &Obs::noop())
         };
         let a = run(&original);
         let b = run(&round_tripped);

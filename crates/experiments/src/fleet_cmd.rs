@@ -51,7 +51,7 @@ pub fn run_traced(
     obs: &replica_engine::obs::Obs,
 ) -> Result<FleetReport, SpecError> {
     let fleet = Fleet::try_new(registry, campaign.fleet_config())?;
-    Ok(fleet.run_space_traced(&campaign.space(), obs))
+    Ok(fleet.run(&campaign.space(), obs))
 }
 
 /// The campaign's budget-grid frontier sweep, when the spec carries

@@ -418,22 +418,23 @@ fn cmd_work(args: &Args) -> Result<(), FleetdError> {
     }
     let obs = Obs::new(Arc::new(FanoutSink::new(sinks)), verbosity);
 
-    let result = worker::run_shard_attempt(&plan, shard, attempt, &obs, None)
-        .map(|report| report.expect("no cancel token given"))
-        .and_then(|report| {
-            if let Some(FaultKind::TruncateReport) = fault {
-                // Tear the write the way `kill -9` mid-write would:
-                // half the JSON bytes, then exit 0 as if all were well.
-                let json = serde_json::to_string(&report).map_err(|e| FleetdError::Io {
-                    path: out.to_string(),
-                    message: format!("serializing: {e}"),
-                })?;
-                crate::coordinator::write_text(&PathBuf::from(out), &json[..json.len() / 2])?;
-            } else {
-                write_json(&PathBuf::from(out), &report)?;
-            }
-            Ok(report)
-        });
+    let result =
+        worker::run_shard_on_attempt(&plan, shard, attempt, &plan.campaign.space(), &obs, None)
+            .map(|report| report.expect("no cancel token given"))
+            .and_then(|report| {
+                if let Some(FaultKind::TruncateReport) = fault {
+                    // Tear the write the way `kill -9` mid-write would:
+                    // half the JSON bytes, then exit 0 as if all were well.
+                    let json = serde_json::to_string(&report).map_err(|e| FleetdError::Io {
+                        path: out.to_string(),
+                        message: format!("serializing: {e}"),
+                    })?;
+                    crate::coordinator::write_text(&PathBuf::from(out), &json[..json.len() / 2])?;
+                } else {
+                    write_json(&PathBuf::from(out), &report)?;
+                }
+                Ok(report)
+            });
     let report = match result {
         Ok(report) => report,
         Err(e) => {

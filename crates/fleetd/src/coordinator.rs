@@ -248,6 +248,7 @@ fn run_in_process(
         None => Obs::noop(),
     };
     let cells_per_job = plan.campaign.solvers.len().max(1);
+    let space = plan.campaign.space();
     let mut sched = Scheduler::new(plan.shards.len(), options.sched);
     let mut now: u64 = 0;
     let mut pool: Vec<ShardReport> = Vec::new();
@@ -273,19 +274,26 @@ fn run_in_process(
             emit_launch(&obs, &launch);
             obs.emit(Event::ShardSegment { shard, attempt });
             match options.faults.fault_for(shard, attempt) {
-                None => match worker::run_shard_attempt(plan, shard, attempt, &obs, None) {
-                    Ok(Some(report)) => {
-                        if sched.on_success(shard, attempt) {
-                            obs.emit(sched_event(SchedOp::Done, shard, attempt, None));
+                None => {
+                    match worker::run_shard_on_attempt(plan, shard, attempt, &space, &obs, None) {
+                        Ok(Some(report)) => {
+                            if sched.on_success(shard, attempt) {
+                                obs.emit(sched_event(SchedOp::Done, shard, attempt, None));
+                            }
+                            pool.push(report);
                         }
-                        pool.push(report);
+                        Ok(None) => unreachable!("no cancel token given"),
+                        Err(e) => {
+                            failures.push(format!("shard {shard} attempt {attempt}: {e}"));
+                            emit_failure(
+                                &obs,
+                                shard,
+                                attempt,
+                                sched.on_failure(shard, attempt, now),
+                            );
+                        }
                     }
-                    Ok(None) => unreachable!("no cancel token given"),
-                    Err(e) => {
-                        failures.push(format!("shard {shard} attempt {attempt}: {e}"));
-                        emit_failure(&obs, shard, attempt, sched.on_failure(shard, attempt, now));
-                    }
-                },
+                }
                 Some(FaultKind::Kill { after_cells }) => {
                     let cancel = CancelToken::new();
                     if after_cells == 0 {
@@ -301,8 +309,14 @@ fn run_in_process(
                     // (None) or the shard finished first (Some — died
                     // after solving, before writing), a killed worker
                     // delivers nothing.
-                    let _ =
-                        worker::run_shard_attempt(plan, shard, attempt, &fault_obs, Some(&cancel));
+                    let _ = worker::run_shard_on_attempt(
+                        plan,
+                        shard,
+                        attempt,
+                        &space,
+                        &fault_obs,
+                        Some(&cancel),
+                    );
                     failures.push(format!(
                         "shard {shard} attempt {attempt}: worker killed after {after_cells} cells (injected)"
                     ));
@@ -318,27 +332,33 @@ fn run_in_process(
                     emit_failure(&obs, shard, attempt, sched.on_failure(shard, attempt, now));
                 }
                 Some(FaultKind::TruncateReport) => {
-                    let failure =
-                        match worker::run_shard_attempt(plan, shard, attempt, &Obs::noop(), None) {
-                            Ok(Some(report)) => {
-                                // Tear the report the way a killed writer
-                                // would and take the parse error as the
-                                // typed failure.
-                                let json = serde_json::to_string(&report).unwrap_or_default();
-                                let torn = &json[..json.len() / 2];
-                                let parse = serde_json::from_str::<ShardReport>(torn)
-                                    .expect_err("a torn report must not parse");
-                                FleetdError::shard_protocol(
-                                    shard,
-                                    attempt,
-                                    format!(
+                    let failure = match worker::run_shard_on_attempt(
+                        plan,
+                        shard,
+                        attempt,
+                        &space,
+                        &Obs::noop(),
+                        None,
+                    ) {
+                        Ok(Some(report)) => {
+                            // Tear the report the way a killed writer
+                            // would and take the parse error as the
+                            // typed failure.
+                            let json = serde_json::to_string(&report).unwrap_or_default();
+                            let torn = &json[..json.len() / 2];
+                            let parse = serde_json::from_str::<ShardReport>(torn)
+                                .expect_err("a torn report must not parse");
+                            FleetdError::shard_protocol(
+                                shard,
+                                attempt,
+                                format!(
                                     "cannot parse shard report ({parse}) — torn write (injected)"
                                 ),
-                                )
-                            }
-                            Ok(None) => unreachable!("no cancel token given"),
-                            Err(e) => e,
-                        };
+                            )
+                        }
+                        Ok(None) => unreachable!("no cancel token given"),
+                        Err(e) => e,
+                    };
                     failures.push(failure.to_string());
                     emit_failure(&obs, shard, attempt, sched.on_failure(shard, attempt, now));
                 }
@@ -347,9 +367,14 @@ fn run_in_process(
                     // pool — but its heartbeat froze, so the
                     // coordinator wrote the attempt off long ago. The
                     // report is a zombie the fenced merge must skip.
-                    if let Ok(Some(report)) =
-                        worker::run_shard_attempt(plan, shard, attempt, &Obs::noop(), None)
-                    {
+                    if let Ok(Some(report)) = worker::run_shard_on_attempt(
+                        plan,
+                        shard,
+                        attempt,
+                        &space,
+                        &Obs::noop(),
+                        None,
+                    ) {
                         pool.push(report);
                     }
                     now += options.sched.stale_ms + 1;
@@ -772,13 +797,13 @@ fn parse_trace_name(name: &str) -> Option<(usize, usize)> {
     Some((shard.parse().ok()?, attempt.parse().ok()?))
 }
 
-/// Runs the same campaign single-process ([`Fleet::run_space`] over the
+/// Runs the same campaign single-process ([`Fleet::run`] over the
 /// campaign's lazy job space) — the baseline of the determinism proof.
 pub fn run_single_process(plan: &ShardPlan) -> Result<FleetReport, FleetdError> {
     let registry = Registry::with_all();
     plan.campaign.validate(&registry)?;
     let fleet = Fleet::try_new(&registry, plan.campaign.fleet_config())?;
-    Ok(fleet.run_space(&plan.campaign.space()))
+    Ok(fleet.run(&plan.campaign.space(), &Obs::noop()))
 }
 
 /// Proves a merged report equivalent to a fresh single-process run of

@@ -17,6 +17,7 @@
 use crate::error::FleetdError;
 use crate::plan::ShardPlan;
 use crate::shard::ShardReport;
+use replica_engine::obs::Obs;
 use replica_engine::{FleetFold, FleetReport, GroupState, Registry, SpecError};
 
 /// Merges shard reports (any order; they are sorted by shard index)
@@ -217,7 +218,7 @@ fn rows_of<'a>(
 /// [`crate::coordinator`].)
 pub fn run_sharded_in_process(plan: &ShardPlan) -> Result<FleetReport, FleetdError> {
     let reports: Vec<ShardReport> = (0..plan.shards.len())
-        .map(|k| crate::worker::run_shard(plan, k))
+        .map(|k| crate::worker::run_shard_observed(plan, k, &Obs::noop()))
         .collect::<Result<_, _>>()?;
     merge_reports(plan, &reports)
 }
@@ -225,7 +226,7 @@ pub fn run_sharded_in_process(plan: &ShardPlan) -> Result<FleetReport, FleetdErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::run_shard;
+    use crate::worker::run_shard_observed;
     use replica_engine::{Campaign, Fleet, Registry};
 
     fn tiny_plan(shards: usize) -> ShardPlan {
@@ -241,7 +242,7 @@ mod tests {
         let fleet = Fleet::new(&registry, plan.campaign.fleet_config());
         // Deliberately the *eager* path: the merged lazy-worker reports
         // must match a run over the materialized job list bit for bit.
-        fleet.run(&plan.campaign.jobs()).digest()
+        fleet.run(&plan.campaign.jobs()[..], &Obs::noop()).digest()
     }
 
     #[test]
@@ -260,7 +261,9 @@ mod tests {
     #[test]
     fn merge_accepts_any_report_order() {
         let plan = tiny_plan(3);
-        let mut reports: Vec<ShardReport> = (0..3).map(|k| run_shard(&plan, k).unwrap()).collect();
+        let mut reports: Vec<ShardReport> = (0..3)
+            .map(|k| run_shard_observed(&plan, k, &Obs::noop()).unwrap())
+            .collect();
         reports.reverse();
         let merged = merge_reports(&plan, &reports).unwrap();
         assert_eq!(merged.digest(), single_process_digest(&plan));
@@ -269,7 +272,9 @@ mod tests {
     #[test]
     fn merge_rejects_bad_reports() {
         let plan = tiny_plan(2);
-        let good: Vec<ShardReport> = (0..2).map(|k| run_shard(&plan, k).unwrap()).collect();
+        let good: Vec<ShardReport> = (0..2)
+            .map(|k| run_shard_observed(&plan, k, &Obs::noop()).unwrap())
+            .collect();
 
         // Missing shard.
         assert!(merge_reports(&plan, &good[..1]).is_err());
@@ -302,7 +307,9 @@ mod tests {
     #[test]
     fn fenced_merge_keeps_zombies_out_and_names_what_is_missing() {
         let plan = tiny_plan(2);
-        let good: Vec<ShardReport> = (0..2).map(|k| run_shard(&plan, k).unwrap()).collect();
+        let good: Vec<ShardReport> = (0..2)
+            .map(|k| run_shard_observed(&plan, k, &Obs::noop()).unwrap())
+            .collect();
 
         // Shard 0's attempt 0 became a zombie: it finished late *and*
         // its payload is corrupt. The retry (attempt 1) is clean and

@@ -39,7 +39,13 @@ impl ShardManifest {
 
 /// A planned campaign: the campaign itself plus its shard split and the
 /// campaign fingerprint every shard report must echo.
+///
+/// Deserialization checks the split: a plan read from disk whose
+/// `shards` are not exactly [`plan_shards`] of its campaign (at least
+/// one shard) is rejected with a [`FleetdError::Protocol`] message, so a
+/// tampered range never reaches a worker.
 #[derive(Clone, Debug, Serialize, Deserialize)]
+#[serde(try_from = "UncheckedPlan")]
 pub struct ShardPlan {
     /// The campaign being sharded.
     pub campaign: Campaign,
@@ -47,6 +53,33 @@ pub struct ShardPlan {
     pub fingerprint: u64,
     /// Contiguous shard manifests, in shard (= job) order.
     pub shards: Vec<ShardManifest>,
+}
+
+/// The wire form of a [`ShardPlan`] before its split is checked.
+#[derive(Deserialize)]
+struct UncheckedPlan {
+    campaign: Campaign,
+    fingerprint: u64,
+    shards: Vec<ShardManifest>,
+}
+
+impl TryFrom<UncheckedPlan> for ShardPlan {
+    type Error = FleetdError;
+
+    fn try_from(plan: UncheckedPlan) -> Result<ShardPlan, FleetdError> {
+        let jobs = plan.campaign.job_count();
+        if plan.shards.is_empty() || plan.shards != plan_shards(jobs, plan.shards.len()) {
+            return Err(FleetdError::Protocol(format!(
+                "plan shards are not the contiguous {}-way split of the campaign's {jobs} jobs (corrupted plan?)",
+                plan.shards.len()
+            )));
+        }
+        Ok(ShardPlan {
+            campaign: plan.campaign,
+            fingerprint: plan.fingerprint,
+            shards: plan.shards,
+        })
+    }
 }
 
 impl ShardPlan {
@@ -145,5 +178,38 @@ mod tests {
         assert_eq!(back.fingerprint, plan.fingerprint);
         assert_eq!(back.campaign.fingerprint(), plan.fingerprint);
         assert!(ShardPlan::new(campaign, 0).is_err());
+    }
+
+    #[test]
+    fn tampered_shard_ranges_are_rejected_on_load() {
+        let plan = ShardPlan::new(Campaign::from_set("standard", 12, 2, 5).unwrap(), 3).unwrap();
+        let jobs = plan.campaign.job_count();
+        let reload =
+            |p: &ShardPlan| serde_json::from_str::<ShardPlan>(&serde_json::to_string(p).unwrap());
+        assert!(reload(&plan).is_ok(), "an untouched plan loads");
+        let mut past_end = plan.clone();
+        past_end.shards[1].end = 1_000_000;
+        let mut reversed = plan.clone();
+        reversed.shards[1].start = reversed.shards[1].end + 1;
+        let mut empty = plan.clone();
+        empty.shards.clear();
+        for (what, tampered) in [
+            ("end past the job count", past_end),
+            ("start > end", reversed),
+            ("no shards", empty),
+        ] {
+            let err = reload(&tampered).expect_err(what).to_string();
+            assert!(err.contains("plan shards are not"), "{what}: {err}");
+        }
+        // The typed error itself, before serde wraps it.
+        let mut raw = UncheckedPlan {
+            campaign: plan.campaign.clone(),
+            fingerprint: plan.fingerprint,
+            shards: plan.shards.clone(),
+        };
+        raw.shards[2].end = jobs + 1;
+        let err = ShardPlan::try_from(raw).unwrap_err();
+        assert!(matches!(err, FleetdError::Protocol(_)), "{err}");
+        assert_eq!(err.exit_code(), 1);
     }
 }

@@ -4,7 +4,8 @@
 //! merge needs:
 //!
 //! * **`cells`** — the shard's raw cell stream, in job order. This is
-//!   the serialization of the engine's `run_with_observer` tap and the
+//!   the serialization of the observer tap of the engine's
+//!   [`Fleet::run_shard`](replica_engine::Fleet::run_shard) and the
 //!   only representation from which the *combined* FNV cell checksum can
 //!   be continued (FNV over a concatenation cannot be assembled from the
 //!   parts' end states — the merge must replay the bytes, i.e. the

@@ -15,7 +15,7 @@
 //! time — a worker solving shard `k` of `n` constructs exactly
 //! `len(shard k)` jobs, never the whole campaign (the counter-backed
 //! regression suite in `tests/lazy_worker.rs` pins this through
-//! [`run_shard_on`] and a
+//! [`run_shard_on_attempt`] and a
 //! [`CountingSpace`](replica_engine::CountingSpace)).
 
 use crate::error::FleetdError;
@@ -25,66 +25,31 @@ use replica_engine::obs::Obs;
 use replica_engine::{CancelToken, Fleet, JobSpace, Registry};
 
 /// Runs shard `shard` of `plan` in-process over the campaign's own lazy
-/// job space and returns its report.
-pub fn run_shard(plan: &ShardPlan, shard: usize) -> Result<ShardReport, FleetdError> {
-    run_shard_on(plan, shard, &plan.campaign.space())
-}
-
-/// [`run_shard`] with telemetry: the engine's traced shard entry point
-/// streams per-batch progress and timing events into `obs` — this is
-/// how `fleetd work` feeds its heartbeat file and `--trace` JSONL.
+/// job space, streaming per-batch progress and timing events into `obs`
+/// — this is how an in-process worker feeds its heartbeat and trace.
 /// Telemetry is strictly out-of-band: the returned report is
-/// byte-identical to [`run_shard`]'s.
+/// byte-identical whatever `obs` is ([`Obs::noop`] for none).
 pub fn run_shard_observed(
     plan: &ShardPlan,
     shard: usize,
     obs: &Obs,
 ) -> Result<ShardReport, FleetdError> {
-    run_shard_on_observed(plan, shard, &plan.campaign.space(), obs)
-}
-
-/// [`run_shard`] over an explicit job space — the seam the `O(shard)`
-/// regression tests instrument with a counting wrapper. `space` must
-/// describe the same job universe as the plan's campaign (same length;
-/// same `index → job` mapping for the shard's digest to validate).
-pub fn run_shard_on<S: JobSpace + ?Sized>(
-    plan: &ShardPlan,
-    shard: usize,
-    space: &S,
-) -> Result<ShardReport, FleetdError> {
-    run_shard_on_observed(plan, shard, space, &Obs::noop())
-}
-
-/// [`run_shard_on`] with telemetry (see [`run_shard_observed`]).
-pub fn run_shard_on_observed<S: JobSpace + ?Sized>(
-    plan: &ShardPlan,
-    shard: usize,
-    space: &S,
-    obs: &Obs,
-) -> Result<ShardReport, FleetdError> {
-    let report = run_shard_on_attempt(plan, shard, 0, space, obs, None)?;
+    let report = run_shard_on_attempt(plan, shard, 0, &plan.campaign.space(), obs, None)?;
     Ok(report.expect("no cancel token given"))
 }
 
-/// Runs shard `shard` as attempt generation `attempt` over the
-/// campaign's own lazy job space — the supervised coordinator's entry
-/// point. `Ok(None)` means `cancel` fired between batches: the attempt
-/// produced nothing at all (the engine's all-or-nothing fold), which is
-/// exactly what a kill fault must look like.
-pub fn run_shard_attempt(
-    plan: &ShardPlan,
-    shard: usize,
-    attempt: usize,
-    obs: &Obs,
-    cancel: Option<&CancelToken>,
-) -> Result<Option<ShardReport>, FleetdError> {
-    run_shard_on_attempt(plan, shard, attempt, &plan.campaign.space(), obs, cancel)
-}
-
-/// [`run_shard_attempt`] over an explicit job space — the most general
-/// worker entry point; every other `run_shard_*` delegates here. The
-/// returned report carries `attempt` so the fenced merge can tell a
-/// winning attempt's report from a superseded zombie's.
+/// Runs shard `shard` of `plan` as attempt generation `attempt` over
+/// `space` — the general worker entry point. `space` is normally
+/// `&plan.campaign.space()`; the `O(shard)` regression tests pass an
+/// instrumented wrapper instead, which must describe the same job
+/// universe (same length; same `index → job` mapping for the shard's
+/// digest to validate).
+///
+/// The returned report carries `attempt` so the fenced merge can tell a
+/// winning attempt's report from a superseded zombie's. `Ok(None)` means
+/// `cancel` fired between batches: the attempt produced nothing at all
+/// (the engine's all-or-nothing fold), which is exactly what a kill
+/// fault must look like.
 pub fn run_shard_on_attempt<S: JobSpace + ?Sized>(
     plan: &ShardPlan,
     shard: usize,
@@ -111,7 +76,7 @@ pub fn run_shard_on_attempt<S: JobSpace + ?Sized>(
 
     let fleet = Fleet::try_new(&registry, plan.campaign.fleet_config())?;
     let mut cells = Vec::with_capacity(manifest.len() * plan.campaign.solvers.len());
-    let Some(run) = fleet.run_space_shard_recorded_cancellable(
+    let Some(run) = fleet.run_shard(
         space,
         manifest.start..manifest.end,
         |cell| {
@@ -153,25 +118,25 @@ mod tests {
     fn worker_reports_cover_exactly_their_range() {
         let plan = tiny_plan(2);
         for manifest in &plan.shards {
-            let report = run_shard(&plan, manifest.shard).unwrap();
+            let report = run_shard_observed(&plan, manifest.shard, &Obs::noop()).unwrap();
             assert_eq!(report.start, manifest.start);
             assert_eq!(report.end, manifest.end);
             assert_eq!(report.cell_count, manifest.len() * 2);
             assert_eq!(report.cells.len(), report.cell_count);
             assert_eq!(report.fingerprint, plan.fingerprint);
         }
-        assert!(run_shard(&plan, 99).is_err());
+        assert!(run_shard_observed(&plan, 99, &Obs::noop()).is_err());
     }
 
     #[test]
     fn attempts_are_stamped_and_cancellation_yields_nothing() {
         let plan = tiny_plan(2);
-        let base = run_shard(&plan, 0).unwrap();
+        let base = run_shard_observed(&plan, 0, &Obs::noop()).unwrap();
         assert_eq!(base.attempt, 0, "plain runs are attempt 0");
 
         // A retry attempt produces the byte-identical payload — only the
         // attempt stamp differs.
-        let retry = run_shard_attempt(&plan, 0, 3, &Obs::noop(), None)
+        let retry = run_shard_on_attempt(&plan, 0, 3, &plan.campaign.space(), &Obs::noop(), None)
             .unwrap()
             .expect("no cancel token given");
         assert_eq!(retry.attempt, 3);
@@ -181,15 +146,23 @@ mod tests {
         // A pre-cancelled attempt returns nothing at all.
         let cancel = CancelToken::new();
         cancel.cancel();
-        let killed = run_shard_attempt(&plan, 0, 1, &Obs::noop(), Some(&cancel)).unwrap();
+        let killed = run_shard_on_attempt(
+            &plan,
+            0,
+            1,
+            &plan.campaign.space(),
+            &Obs::noop(),
+            Some(&cancel),
+        )
+        .unwrap();
         assert!(killed.is_none(), "cancelled attempts produce no report");
     }
 
     #[test]
     fn worker_is_deterministic() {
         let plan = tiny_plan(3);
-        let a = run_shard(&plan, 1).unwrap();
-        let b = run_shard(&plan, 1).unwrap();
+        let a = run_shard_observed(&plan, 1, &Obs::noop()).unwrap();
+        let b = run_shard_observed(&plan, 1, &Obs::noop()).unwrap();
         assert_eq!(a.checksum, b.checksum);
         assert_eq!(a.cell_count, b.cell_count);
         for (x, y) in a.cells.iter().zip(&b.cells) {

@@ -18,7 +18,7 @@ use replica_engine::obs::{Analysis, Obs, SchedOp, Trace};
 use replica_fleetd::coordinator::{
     run_plan_with, run_single_process, RunOptions, Workers, SCHED_TRACE_FILE,
 };
-use replica_fleetd::worker::run_shard_attempt;
+use replica_fleetd::worker::run_shard_on_attempt;
 use replica_fleetd::{
     merge_reports_fenced, pool, Campaign, CellStatus, Fault, FaultKind, FaultPlan, FleetdError,
     SchedConfig, ShardPlan, ShardReport,
@@ -169,7 +169,7 @@ fn zombie_reports_cannot_merge_over_a_retry() {
     let plan = plan_of(3, 0xFA04);
     let obs = Obs::noop();
     let run = |shard: usize, attempt: usize| -> ShardReport {
-        run_shard_attempt(&plan, shard, attempt, &obs, None)
+        run_shard_on_attempt(&plan, shard, attempt, &plan.campaign.space(), &obs, None)
             .unwrap()
             .expect("no cancellation requested")
     };

@@ -8,9 +8,10 @@
 //! refactor: if job generation ever becomes `O(campaign)` per worker
 //! again (or the lazy path drifts from the eager one), this suite fails.
 
+use replica_engine::obs::Obs;
 use replica_engine::{CountingSpace, Fleet, JobSpace, Registry};
 use replica_fleetd::merge::merge_reports;
-use replica_fleetd::worker::{run_shard, run_shard_on};
+use replica_fleetd::worker::{run_shard_observed, run_shard_on_attempt};
 use replica_fleetd::{Campaign, ShardPlan, ShardReport};
 
 /// 3 scenarios × 4 instances = 12 jobs, cheap solver pair.
@@ -22,6 +23,13 @@ fn plan(shards: usize) -> ShardPlan {
     ShardPlan::new(campaign, shards).unwrap()
 }
 
+/// Runs shard `shard` of `plan` as attempt 0 over an instrumented `space`.
+fn run_counted(plan: &ShardPlan, shard: usize, space: &impl JobSpace) -> ShardReport {
+    run_shard_on_attempt(plan, shard, 0, space, &Obs::noop(), None)
+        .unwrap()
+        .expect("no cancel token given")
+}
+
 #[test]
 fn workers_construct_exactly_their_shard_and_merge_byte_identically() {
     let plan = plan(5);
@@ -31,7 +39,7 @@ fn workers_construct_exactly_their_shard_and_merge_byte_identically() {
     let mut reports: Vec<ShardReport> = Vec::new();
     for manifest in &plan.shards {
         let counting = CountingSpace::new(plan.campaign.space());
-        let report = run_shard_on(&plan, manifest.shard, &counting).unwrap();
+        let report = run_counted(&plan, manifest.shard, &counting);
         assert_eq!(
             counting.generated(),
             manifest.len(),
@@ -55,7 +63,7 @@ fn workers_construct_exactly_their_shard_and_merge_byte_identically() {
     // eagerly materialized job list.
     let registry = Registry::with_all();
     let fleet = Fleet::new(&registry, plan.campaign.fleet_config());
-    let single = fleet.run(&plan.campaign.jobs());
+    let single = fleet.run(&plan.campaign.jobs()[..], &Obs::noop());
     assert_eq!(merged.digest(), single.digest());
     assert_eq!(merged.cell_count, single.cell_count);
     assert_eq!(merged.cell_checksum, single.cell_checksum);
@@ -66,9 +74,9 @@ fn workers_construct_exactly_their_shard_and_merge_byte_identically() {
 fn counted_and_plain_worker_paths_agree() {
     let plan = plan(3);
     for manifest in &plan.shards {
-        let plain = run_shard(&plan, manifest.shard).unwrap();
+        let plain = run_shard_observed(&plan, manifest.shard, &Obs::noop()).unwrap();
         let counting = CountingSpace::new(plan.campaign.space());
-        let counted = run_shard_on(&plan, manifest.shard, &counting).unwrap();
+        let counted = run_counted(&plan, manifest.shard, &counting);
         assert_eq!(plain.checksum, counted.checksum);
         assert_eq!(plain.cell_count, counted.cell_count);
     }
@@ -82,7 +90,7 @@ fn run_shard_on_rejects_a_space_of_the_wrong_size() {
     // Campaign::space borrows `other`, which outlives the call.
     let wrong = other.space();
     assert!(wrong.len() != plan.campaign.job_count());
-    let err = run_shard_on(&plan, 0, &wrong).unwrap_err();
+    let err = run_shard_on_attempt(&plan, 0, 0, &wrong, &Obs::noop(), None).unwrap_err();
     assert!(err.to_string().contains("job space has"), "{err}");
 }
 
@@ -98,7 +106,7 @@ fn empty_tail_shards_construct_nothing() {
     );
     for manifest in empty {
         let counting = CountingSpace::new(plan.campaign.space());
-        let report = run_shard_on(&plan, manifest.shard, &counting).unwrap();
+        let report = run_counted(&plan, manifest.shard, &counting);
         assert_eq!(counting.generated(), 0);
         assert_eq!(report.cell_count, 0);
     }

@@ -9,9 +9,10 @@
 //! preserves the bits.
 
 use proptest::prelude::*;
+use replica_engine::obs::Obs;
 use replica_engine::{Fleet, FleetReport, Registry};
 use replica_fleetd::merge::{merge_reports, merge_reports_fenced};
-use replica_fleetd::worker::{run_shard, run_shard_attempt};
+use replica_fleetd::worker::{run_shard_observed, run_shard_on_attempt};
 use replica_fleetd::{Campaign, ShardPlan, ShardReport};
 
 /// A small but non-trivial campaign: two topology families, churn
@@ -37,7 +38,7 @@ fn campaign(seed: u64) -> Campaign {
 fn single_process(campaign: &Campaign) -> FleetReport {
     let registry = Registry::with_all();
     let fleet = Fleet::new(&registry, campaign.fleet_config());
-    fleet.run(&campaign.jobs())
+    fleet.run(&campaign.jobs()[..], &Obs::noop())
 }
 
 /// Runs every shard of `plan`, round-trips each report through its JSON
@@ -45,7 +46,7 @@ fn single_process(campaign: &Campaign) -> FleetReport {
 fn shard_and_merge(plan: &ShardPlan) -> FleetReport {
     let reports: Vec<ShardReport> = (0..plan.shards.len())
         .map(|k| {
-            let report = run_shard(plan, k).unwrap();
+            let report = run_shard_observed(plan, k, &Obs::noop()).unwrap();
             let json = serde_json::to_string(&report).unwrap();
             serde_json::from_str(&json).unwrap()
         })
@@ -126,7 +127,7 @@ proptest! {
             let crowned = (bits % 3) as usize;
             bits /= 3;
             for attempt in 0..=crowned {
-                let report = run_shard_attempt(&plan, shard, attempt, &obs, None)
+                let report = run_shard_on_attempt(&plan, shard, attempt, &plan.campaign.space(), &obs, None)
                     .unwrap()
                     .expect("no cancellation requested");
                 assert_eq!(report.attempt, attempt);

@@ -17,8 +17,8 @@
 //!
 //! **Cost when disabled.** [`Obs::noop()`] is a `None` behind a
 //! pointer-sized handle: spans, counters and progress calls reduce to
-//! an `Option` check. The committed `BENCH_obs.json` pins the no-op
-//! overhead at ≈ 0.
+//! an `Option` check. An untraced fleet run *is* a run with
+//! [`Obs::noop()`]: there is no separate untraced code path.
 //!
 //! The distribution statistics ([`Stats`], [`P2Quantile`],
 //! [`MetricAccumulator`]) live here too — they started inside the

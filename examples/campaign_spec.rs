@@ -15,6 +15,7 @@
 //! Defaults to the committed `examples/campaigns/inline-worst-cases.json`
 //! (two inline worst-case scenario families under a cost bound).
 
+use power_replica::engine::obs::Obs;
 use power_replica::engine::{render, CampaignSpec, Fleet, Registry, ScenarioSet};
 
 fn main() {
@@ -58,7 +59,7 @@ fn main() {
 
     // A validated campaign cannot fail to configure a fleet.
     let fleet = Fleet::try_new(&registry, campaign.fleet_config()).expect("validated config");
-    let report = fleet.run_space(&campaign.space());
+    let report = fleet.run(&campaign.space(), &Obs::noop());
 
     // The spec even names its preferred rendering.
     println!("{}", render(&report, campaign.output));

@@ -59,7 +59,7 @@
 //!         ..Default::default()
 //!     },
 //! );
-//! let report = fleet.run_space(&space);
+//! let report = fleet.run(&space, &Obs::noop());
 //! assert_eq!(report.summaries.len(), scenarios.len() * 2);
 //! ```
 //!
