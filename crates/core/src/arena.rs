@@ -2,15 +2,18 @@
 //!
 //! Every hot solver allocates the same shapes over and over: the flat tree
 //! layout, DP tables, prune buffers, greedy flow/contribution scratch. A
-//! [`SolveArena`] bundles all of them so a fleet worker thread (or any
-//! caller solving many instances) pays the allocations once and then runs
-//! allocation-free in steady state:
+//! [`SolveArena`] bundles them so a fleet worker thread (or any caller
+//! solving many instances) pays those allocations once:
 //!
 //! * [`SolveArena::flat`] — the shared [`FlatTree`] snapshot, rebuilt per
-//!   instance by sweep-style callers ([`crate::greedy_power::sweep_in`]);
+//!   instance by the `GR` sweep ([`crate::greedy_power::paper_sweep_in`],
+//!   [`crate::greedy_power::solve_in`]);
 //! * [`SolveArena::greedy`] — [`GreedyScratch`] for the `GR` kernel;
 //! * [`SolveArena::pruned`] — [`PrunedScratch`] for the dominance-pruned DP
-//!   ([`crate::dp_power_pruned::PrunedPowerDp::run_in`]);
+//!   ([`crate::dp_power_pruned::PrunedPowerDp::run_in`]): layout, tables,
+//!   merge buffers and weights. The DP's fold prefixes are not here: they
+//!   belong to one run and are dropped with its result, so a long-lived
+//!   arena does not hold every position's largest prefixes;
 //! * [`SolveArena::full`] — [`FullScratch`] for the full-state §4.3 DP
 //!   ([`crate::dp_power::PowerDp::run_in`]).
 //!

@@ -73,19 +73,6 @@ pub struct PowerResult {
     pub servers: u64,
 }
 
-/// Tuning knobs for [`PowerDp::run_with`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PowerDpOptions {
-    /// Parallelize large merge steps with rayon (ablation-benched; the
-    /// experiment harness already parallelizes across trees, so this
-    /// defaults to off).
-    pub parallel_merge: bool,
-}
-
-/// Threshold (left × child entry pairs) above which a parallel merge is
-/// worth the fork/join overhead.
-const PARALLEL_PAIRS_THRESHOLD: usize = 1 << 14;
-
 /// Reusable working memory for [`PowerDp::run_in`]: the flat layout, the
 /// outer table vector and the per-position unit-key buffers. Inner hash
 /// tables are deliberately *not* pooled (see the module docs on
@@ -105,32 +92,18 @@ pub struct PowerDp<'a> {
     codec: StateCodec,
     scratch: FullScratch,
     candidates: Vec<RootCandidate>,
-    options: PowerDpOptions,
 }
 
 impl<'a> PowerDp<'a> {
-    /// Runs the forward pass and the root scan with default options.
+    /// Runs the forward pass and the root scan with one-shot scratch.
     pub fn run(instance: &'a Instance) -> Result<Self, ModelError> {
-        Self::run_with(instance, PowerDpOptions::default())
+        Self::run_in(instance, &mut FullScratch::default())
     }
 
-    /// Runs the forward pass and the root scan.
-    pub fn run_with(instance: &'a Instance, options: PowerDpOptions) -> Result<Self, ModelError> {
-        Self::run_with_in(instance, options, &mut FullScratch::default())
-    }
-
-    /// [`PowerDp::run`] borrowing `scratch`'s buffers; hand them back with
-    /// [`PowerDp::recycle`] (the error path returns them immediately).
+    /// Runs the forward pass and the root scan, borrowing `scratch`'s
+    /// buffers; hand them back with [`PowerDp::recycle`] (the error path
+    /// returns them immediately).
     pub fn run_in(instance: &'a Instance, scratch: &mut FullScratch) -> Result<Self, ModelError> {
-        Self::run_with_in(instance, PowerDpOptions::default(), scratch)
-    }
-
-    /// [`PowerDp::run_with`] with caller-provided working memory.
-    pub fn run_with_in(
-        instance: &'a Instance,
-        options: PowerDpOptions,
-        scratch: &mut FullScratch,
-    ) -> Result<Self, ModelError> {
         let pre = instance.pre_existing();
         let m = instance.mode_count();
         let tree = instance.tree();
@@ -175,7 +148,6 @@ impl<'a> PowerDp<'a> {
                     &table,
                     &s.tables[child as usize],
                     &s.unit_keys[child as usize],
-                    options,
                 );
                 if table.is_empty() {
                     break;
@@ -197,7 +169,6 @@ impl<'a> PowerDp<'a> {
             codec,
             scratch: s,
             candidates,
-            options,
         })
     }
 
@@ -272,7 +243,6 @@ impl<'a> PowerDp<'a> {
                     inter.last().expect("intermediate tables start non-empty"),
                     &s.tables[child as usize],
                     &s.unit_keys[child as usize],
-                    self.options,
                 );
                 inter.push(next);
             }
@@ -349,37 +319,18 @@ fn merge_child(
     left: &Table,
     child: &Table,
     unit_keys: &[StateKey],
-    options: PowerDpOptions,
 ) -> Table {
-    let pairs = left.len().saturating_mul(child.len());
-    if options.parallel_merge && pairs >= PARALLEL_PAIRS_THRESHOLD {
-        merge_child_parallel(codec, instance, left, child, unit_keys)
-    } else {
-        let mut out =
-            Table::with_capacity_and_hasher(left.len().max(child.len()) * 2, Default::default());
-        merge_into(codec, instance, left.iter(), child, unit_keys, &mut out);
-        out
-    }
-}
-
-/// Serial merge kernel over an iterator of left entries.
-fn merge_into<'i>(
-    codec: &StateCodec,
-    instance: &Instance,
-    left: impl Iterator<Item = (&'i StateKey, &'i u64)>,
-    child: &Table,
-    unit_keys: &[StateKey],
-    out: &mut Table,
-) {
     let modes = instance.modes();
     let wmax = instance.max_capacity();
     let m = modes.count();
+    let mut out =
+        Table::with_capacity_and_hasher(left.len().max(child.len()) * 2, Default::default());
     for (&k1, &f1) in left {
         for (&k2, &f2) in child {
             // Option a — no replica on the child: flows add up.
             let combined = f1 + f2;
             if combined <= wmax {
-                insert_min(out, codec.combine(k1, k2), combined);
+                insert_min(&mut out, codec.combine(k1, k2), combined);
             }
             // Option b — replica on the child at each mode that fits its
             // subtree flow f2 (its load). Smallest feasible mode first.
@@ -387,53 +338,12 @@ fn merge_into<'i>(
                 let base = codec.combine(k1, k2);
                 for (mode, &unit) in unit_keys.iter().enumerate().take(m).skip(first) {
                     let _ = mode;
-                    insert_min(out, base + unit, f1);
+                    insert_min(&mut out, base + unit, f1);
                 }
             }
         }
     }
-}
-
-/// Rayon fork/join merge: splits the left table across threads, merging
-/// per-thread partial tables at the end.
-fn merge_child_parallel(
-    codec: &StateCodec,
-    instance: &Instance,
-    left: &Table,
-    child: &Table,
-    unit_keys: &[StateKey],
-) -> Table {
-    use rayon::prelude::*;
-    fn merge_min(mut big: Table, small: Table) -> Table {
-        for (k, f) in small {
-            insert_min(&mut big, k, f);
-        }
-        big
-    }
-
-    let entries: Vec<(StateKey, u64)> = left.iter().map(|(&k, &f)| (k, f)).collect();
-    let chunk = (entries.len() / rayon::current_num_threads().max(1)).max(64);
-    entries
-        .par_chunks(chunk)
-        .map(|chunk| {
-            let mut out = Table::default();
-            merge_into(
-                codec,
-                instance,
-                chunk.iter().map(|(k, f)| (k, f)),
-                child,
-                unit_keys,
-                &mut out,
-            );
-            out
-        })
-        .reduce(Table::default, |a, b| {
-            if a.len() < b.len() {
-                merge_min(b, a)
-            } else {
-                merge_min(a, b)
-            }
-        })
+    out
 }
 
 /// Algorithm 4 analogue: expands every root-table state with the root
@@ -655,40 +565,6 @@ mod tests {
             PowerDp::run(&inst),
             Err(ModelError::Infeasible(_))
         ));
-    }
-
-    #[test]
-    fn parallel_merge_matches_serial() {
-        use rand::{rngs::StdRng, SeedableRng};
-        use replica_tree::{generate, GeneratorConfig};
-        let mut rng = StdRng::seed_from_u64(42);
-        let tree = generate::random_tree(&GeneratorConfig::paper_power(25), &mut rng);
-        let pre = generate::random_pre_existing(&tree, 3, &mut rng);
-        let inst = Instance::builder(tree)
-            .modes(ModeSet::new(vec![5, 10]).unwrap())
-            .pre_existing(PreExisting::at_mode(pre, 1))
-            .cost(CostModel::uniform(2, 0.1, 0.01, 0.001))
-            .power(PowerModel::new(12.5, 3.0))
-            .build()
-            .unwrap();
-        let serial = PowerDp::run_with(
-            &inst,
-            PowerDpOptions {
-                parallel_merge: false,
-            },
-        )
-        .unwrap();
-        let parallel = PowerDp::run_with(
-            &inst,
-            PowerDpOptions {
-                parallel_merge: true,
-            },
-        )
-        .unwrap();
-        let bw = |dp: &PowerDp, b: f64| dp.best_within(b).map(|c| (c.power, c.cost));
-        for bound in [5.0, 10.0, 20.0, f64::INFINITY] {
-            assert_eq!(bw(&serial, bound), bw(&parallel, bound));
-        }
     }
 
     #[test]

@@ -20,19 +20,24 @@
 //! returned optima are bit-equal to [`dp_power`](crate::dp_power) — the
 //! test suite and the oracle enforce this.
 //!
-//! Reconstruction exploits determinism: re-running a node's merge sequence
-//! reproduces its tables bit-for-bit (same code path, same order), so the
-//! backtrack can match partial costs/powers with exact `f64` equality.
+//! The forward pass caches each fold's prefixes: the accumulated table
+//! before every child merge. The backtrack walks each fold backwards
+//! over exactly those operands, so it matches partial costs/powers with
+//! exact `f64` equality and never re-merges. The prefixes belong to the
+//! run and are dropped with it.
 //!
 //! ## Hot path
 //!
 //! The forward pass iterates the [`FlatTree`] post-order layout (one dense
-//! scan, children as position windows) and all working memory — the layout,
-//! the per-position tables, the merge kernel's buffers, the flattened
-//! weight arrays — lives in a [`PrunedScratch`] that [`PrunedPowerDp::run_in`]
-//! borrows and [`PrunedPowerDp::recycle`] returns, so fleet batches solve
-//! with zero steady-state allocation. Results are bit-identical to the
-//! pre-flat pointer traversal ([`crate::reference::pruned_solve`] pins this).
+//! scan, children as position windows). The layout, the per-position
+//! tables, the merge kernel's buffers and the flattened weight arrays live
+//! in a [`PrunedScratch`] that [`PrunedPowerDp::run_in`] borrows and
+//! [`PrunedPowerDp::recycle`] returns, so fleet batches reuse them across
+//! solves; only the fold prefixes are allocated per run. The batch and the
+//! incremental solver share one forward step (`compute_position`) and
+//! one backtrack (`backtrack`). Results are bit-identical to the
+//! pre-flat pointer traversal ([`crate::reference::pruned_solve`] pins
+//! this).
 //!
 //! Nearly all of the time goes into merging a child's table into the fold
 //! (`merge_into`). Most merges are tiny and take the direct path: one sort
@@ -76,21 +81,20 @@ pub struct PrunedCandidate {
 
 /// Reusable working memory for [`PrunedPowerDp::run_in`].
 ///
-/// Holds every allocation the forward pass needs: the flat layout, the
-/// per-position Pareto tables, the merge/prune double buffers, and the
-/// flattened per-(position, mode) weight arrays. After one solve has grown
-/// the buffers, subsequent solves of same-sized trees allocate nothing.
+/// Holds the flat layout, the per-position Pareto tables, the merge/prune
+/// buffers, and the flattened per-(position, mode) weight arrays. After
+/// one solve has grown them, later solves of same-sized trees reuse them.
+/// [`crate::incremental::IncrementalDp`] embeds one as its live state.
 #[derive(Default)]
 pub struct PrunedScratch {
-    flat: FlatTree,
-    tables: Vec<Vec<Triple>>,
-    /// The fold accumulator of the position being computed.
-    cur: Vec<Triple>,
-    merge: MergeScratch,
+    pub(crate) flat: FlatTree,
+    /// `tables[p]`: the Pareto table of position `p`.
+    pub(crate) tables: Vec<Vec<Triple>>,
+    pub(crate) merge: MergeScratch,
     /// `wcost[p * m + mode]`: additive cost of a server at position `p`.
-    wcost: Vec<f64>,
+    pub(crate) wcost: Vec<f64>,
     /// `wpower[mode]`: additive power of a server at `mode`.
-    wpower: Vec<f64>,
+    pub(crate) wpower: Vec<f64>,
 }
 
 /// The read-only inputs every forward-pass and backtrack step shares:
@@ -105,21 +109,52 @@ pub(crate) struct DpView<'a> {
     pub(crate) wpower: &'a [f64],
 }
 
+impl PrunedScratch {
+    /// Runs the full forward pass and the root scan for `instance`:
+    /// rebuilds the layout and the weights, folds every position
+    /// bottom-up (filling `tables` and the run's fold prefixes `prefix`,
+    /// see [`compute_position`]), then scans the root table into
+    /// `candidates`.
+    pub(crate) fn forward(
+        &mut self,
+        instance: &Instance,
+        prefix: &mut Vec<Vec<Triple>>,
+        candidates: &mut Vec<PrunedCandidate>,
+    ) {
+        self.flat.rebuild(instance.tree());
+        fill_weights(instance, &self.flat, &mut self.wcost, &mut self.wpower);
+        let n = self.flat.len();
+        // Every slot is overwritten below (the root's prefix slot is
+        // never read), so only the lengths need resetting.
+        self.tables.resize_with(n, Vec::new);
+        prefix.resize_with(n, Vec::new);
+        let view = DpView {
+            instance,
+            flat: &self.flat,
+            wcost: &self.wcost,
+            wpower: &self.wpower,
+        };
+        for p in self.flat.positions() {
+            compute_position(&view, p, 0, &mut self.tables, prefix, &mut self.merge);
+        }
+        let root_table = &self.tables[self.flat.root_position()];
+        scan_root(&view, root_table, deletion_constant(instance), candidates);
+    }
+}
+
 /// A completed pruned-DP run.
 pub struct PrunedPowerDp<'a> {
     instance: &'a Instance,
     scratch: PrunedScratch,
+    /// The run's fold prefixes (see [`compute_position`]). They are the
+    /// backtrack's input and are dropped with the run, not kept in the
+    /// arena.
+    prefix: Vec<Vec<Triple>>,
     candidates: Vec<PrunedCandidate>,
-    delete_constant: f64,
 }
 
 /// Fills the flattened per-server additive weights (position-indexed).
-pub(crate) fn fill_weights(
-    instance: &Instance,
-    flat: &FlatTree,
-    wcost: &mut Vec<f64>,
-    wpower: &mut Vec<f64>,
-) {
+fn fill_weights(instance: &Instance, flat: &FlatTree, wcost: &mut Vec<f64>, wpower: &mut Vec<f64>) {
     let modes = instance.modes();
     let cost_model = instance.cost();
     let pre = instance.pre_existing();
@@ -662,106 +697,68 @@ pub(crate) fn deletion_constant(instance: &Instance) -> f64 {
         .sum()
 }
 
-/// Computes the Pareto table of position `p` from its children's tables
-/// (which must already be current) and swaps it into `tables[p]`; `cur`
-/// is the fold accumulator.
+/// THE forward-pass step: computes the Pareto table of position `p`
+/// from its children's tables (which must already be current) into
+/// `tables[p]`, caching the fold's prefixes.
 ///
-/// This is THE forward-pass step: [`PrunedPowerDp::run_in`] calls it for
-/// every position bottom-up, and the incremental solver
+/// The fold starts from the direct-load base and merges the children in
+/// order. `prefix[c]` holds the accumulated table *before* child `c` is
+/// merged into its parent's fold, so the base sits in the first child's
+/// slot and the final merge lands in `tables[p]`; a leaf's table is the
+/// base itself. `start` is the fold index of the first child whose table
+/// changed since the last call here: the cached prefixes up to it are
+/// reused verbatim and only the fold's suffix re-merges.
+///
+/// [`PrunedPowerDp::run_in`] calls this with `start = 0` for every
+/// position, and the incremental solver
 /// ([`crate::incremental::IncrementalDp`]) calls it for exactly the dirty
-/// closure — sharing this function is what makes the incremental recompute
-/// bit-identical to a from-scratch solve by construction.
+/// closure. A suffix re-merge runs the same [`merge_into`] calls on
+/// bit-identical inputs that a full fold would reach, so the incremental
+/// recompute is bit-identical to a from-scratch solve by construction.
+/// The prefixes are also the backtrack's intermediate tables
+/// ([`backtrack`]), so it never re-merges.
 pub(crate) fn compute_position(
-    view: &DpView<'_>,
-    p: usize,
-    tables: &mut [Vec<Triple>],
-    cur: &mut Vec<Triple>,
-    scratch: &mut MergeScratch,
-) {
-    let wmax = view.instance.max_capacity();
-    let direct = view.flat.client_load(p);
-    cur.clear();
-    if direct <= wmax {
-        cur.push(Triple {
-            flow: direct,
-            cost: 0.0,
-            power: 0.0,
-        });
-    }
-    for &child in view.flat.children(p) {
-        if cur.is_empty() {
-            break;
-        }
-        merge_into(view, child as usize, cur, &tables[child as usize], scratch);
-        std::mem::swap(cur, &mut scratch.out);
-    }
-    std::mem::swap(&mut tables[p], cur);
-}
-
-/// [`compute_position`] with the fold's intermediate prefix tables cached
-/// in `inters_p` — the incremental solver's forward step.
-///
-/// `inters_p[k]` holds the accumulated table *before* merging child `k`
-/// (`inters_p[0]` is the direct-load base; leaves use it as the whole
-/// table). The final merge lands in `tables[p]` as usual. `start` is the
-/// fold index of the first child whose table changed since the last call
-/// here: the cached prefixes `0..=start` are reused verbatim and only the
-/// fold's suffix re-merges. Because the suffix runs the *same*
-/// [`merge_into`] calls on bit-identical inputs that a full
-/// [`compute_position`] would reach, the resulting table is bit-identical
-/// by construction — and the cached `inters_p` doubles as the
-/// reconstruction's intermediate tables, so the backtrack needs no
-/// re-merge at all.
-pub(crate) fn compute_position_cached(
     view: &DpView<'_>,
     p: usize,
     start: usize,
     tables: &mut [Vec<Triple>],
-    inters_p: &mut Vec<Vec<Triple>>,
+    prefix: &mut [Vec<Triple>],
     scratch: &mut MergeScratch,
 ) {
     let children = view.flat.children(p);
-    let len = children.len();
-    let slots = len.max(1);
-    if inters_p.len() < slots {
-        inters_p.resize_with(slots, Vec::new);
-    }
     if start == 0 {
-        let wmax = view.instance.max_capacity();
         let direct = view.flat.client_load(p);
-        inters_p[0].clear();
-        if direct <= wmax {
-            inters_p[0].push(Triple {
+        let base = match children.first() {
+            Some(&first) => &mut prefix[first as usize],
+            None => &mut tables[p],
+        };
+        base.clear();
+        if direct <= view.instance.max_capacity() {
+            base.push(Triple {
                 flow: direct,
                 cost: 0.0,
                 power: 0.0,
             });
         }
     }
-    if len == 0 {
-        tables[p].clear();
-        tables[p].extend_from_slice(&inters_p[0]);
-        return;
-    }
-    for k in start..len {
-        if inters_p[k].is_empty() {
+    for (k, &child) in children.iter().enumerate().skip(start) {
+        let child = child as usize;
+        if prefix[child].is_empty() {
             // An empty accumulator stays empty through every further
-            // merge — mirror `compute_position`'s early break, and clear
-            // the stale suffix so future suffix-only calls see it.
-            for later in inters_p[k + 1..len].iter_mut() {
-                later.clear();
+            // merge: clear the stale suffix so later suffix-only calls
+            // see it too.
+            for &later in &children[k + 1..] {
+                prefix[later as usize].clear();
             }
             tables[p].clear();
             return;
         }
-        let child = children[k] as usize;
-        merge_into(view, child, &inters_p[k], &tables[child], scratch);
-        // Copied, not swapped: these tables live across epochs, and a
-        // swap would hand each the scratch buffer's high-water capacity.
-        if k + 1 < len {
-            inters_p[k + 1].clone_from(&scratch.out);
-        } else {
-            tables[p].clone_from(&scratch.out);
+        merge_into(view, child, &prefix[child], &tables[child], scratch);
+        // Copied, not swapped: a swap would hand each table the scratch
+        // buffer's high-water capacity.
+        match children.get(k + 1) {
+            Some(&next) => prefix[next as usize].clone_from(&scratch.out),
+            None => tables[p].clone_from(&scratch.out),
         }
     }
 }
@@ -812,45 +809,28 @@ pub(crate) fn best_candidate_within(
         .min_by(|a, b| a.power.total_cmp(&b.power).then(a.cost.total_cmp(&b.cost)))
 }
 
-/// Backtracks `candidate` into a placement against the given forward-pass
-/// state (bit-exact re-merge matching, see module docs). Shared by
-/// [`PrunedPowerDp::reconstruct`] and the incremental solver.
-pub(crate) fn reconstruct_in(
-    view: &DpView<'_>,
-    tables: &[Vec<Triple>],
-    candidate: &PrunedCandidate,
-) -> Result<Placement, ModelError> {
-    let mut placement = Placement::with_slots(view.flat.len());
-    reconstruct_seeded(
-        view,
-        tables,
-        candidate,
-        None,
-        &mut placement,
-        &mut |_, _| false,
-    )?;
-    Ok(placement)
-}
-
-/// [`reconstruct_in`] over a caller-seeded placement with a subtree-reuse
-/// hook — the incremental solver's fast path.
+/// Backtracks `candidate` into `placement` against the forward-pass
+/// state: `tables` and the fold prefixes `prefix` of the same pass.
+///
+/// Each node's fold is walked backwards. The children's tables and the
+/// cached prefixes are exactly the operands of the forward merges, so the
+/// search matches partial costs and powers with exact `f64` equality.
 ///
 /// `visit(p, target)` is called once per position the backtrack reaches,
 /// with the exact [`Triple`] that subtree must produce. Returning `true`
-/// asserts the seeded placement already holds the correct sub-placement
-/// for `subtree(p)`, and the walk skips it entirely. This is sound
-/// because the backtrack below `p` is a deterministic pure function of
-/// `(tables of subtree(p), target)`: if neither changed since the
-/// placement in the seed was produced, the decisions — and therefore the
-/// sub-placement — are bit-for-bit the same. A `false` return expands
-/// `p` as usual, *overwriting* the seed: every child slot is explicitly
-/// set or cleared, so stale seed servers cannot leak through an expanded
-/// region.
-pub(crate) fn reconstruct_seeded(
+/// asserts `placement` already holds the correct sub-placement for
+/// `subtree(p)`, and the walk skips it entirely — the incremental
+/// solver's reuse hook. This is sound because the backtrack below `p` is
+/// a deterministic pure function of `(tables of subtree(p), target)`: if
+/// neither changed since that sub-placement was produced, the decisions
+/// are bit-for-bit the same. A `false` return expands `p`, *overwriting*
+/// the seed: every child slot is explicitly set or cleared, so stale
+/// servers cannot leak through an expanded region.
+pub(crate) fn backtrack(
     view: &DpView<'_>,
     tables: &[Vec<Triple>],
+    prefix: &[Vec<Triple>],
     candidate: &PrunedCandidate,
-    inters: Option<&[Vec<Vec<Triple>>]>,
     placement: &mut Placement,
     visit: &mut dyn FnMut(usize, &Triple) -> bool,
 ) -> Result<(), ModelError> {
@@ -866,8 +846,6 @@ pub(crate) fn reconstruct_seeded(
     let wmax = view.instance.max_capacity();
     let m = modes.count();
 
-    let mut scratch = MergeScratch::default();
-    let mut scratch_inter: Vec<Vec<Triple>> = Vec::new();
     let mut work: Vec<(usize, Triple)> = vec![(flat.root_position(), candidate.triple)];
     while let Some((p, target)) = work.pop() {
         if visit(p, &target) {
@@ -878,37 +856,9 @@ pub(crate) fn reconstruct_seeded(
             debug_assert_eq!(target.flow, flat.client_load(p));
             continue;
         }
-        // The split search below needs the accumulated table *before*
-        // each child — `inter[k]` for fold index `k`. The incremental
-        // solver hands these in pre-computed (its forward pass caches
-        // them); otherwise recompute them here, bit-identical to the
-        // forward pass. The accumulator *after* the last child is never
-        // consulted, so the fresh rebuild skips that final (and most
-        // expensive) merge.
-        let inter: &[Vec<Triple>] = match inters {
-            Some(all) => &all[p],
-            None => {
-                if scratch_inter.len() < children.len() {
-                    scratch_inter.resize_with(children.len(), Vec::new);
-                }
-                scratch_inter[0].clear();
-                scratch_inter[0].push(Triple {
-                    flow: flat.client_load(p),
-                    cost: 0.0,
-                    power: 0.0,
-                });
-                for (k, &child) in children[..children.len() - 1].iter().enumerate() {
-                    let child = child as usize;
-                    merge_into(view, child, &scratch_inter[k], &tables[child], &mut scratch);
-                    std::mem::swap(&mut scratch_inter[k + 1], &mut scratch.out);
-                }
-                &scratch_inter[..children.len()]
-            }
-        };
-
         let mut cur = target;
-        for (k, &child) in children.iter().enumerate().rev() {
-            let left = &inter[k];
+        for &child in children.iter().rev() {
+            let left = &prefix[child as usize];
             let child_table = &tables[child as usize];
             let mut found = None;
             'search: for l in left {
@@ -970,34 +920,8 @@ impl<'a> PrunedPowerDp<'a> {
     /// (the error path returns them immediately).
     pub fn run_in(instance: &'a Instance, scratch: &mut PrunedScratch) -> Result<Self, ModelError> {
         let mut s = std::mem::take(scratch);
-        let delete_constant = deletion_constant(instance);
-
-        s.flat.rebuild(instance.tree());
-        fill_weights(instance, &s.flat, &mut s.wcost, &mut s.wpower);
-        let n = s.flat.len();
-        s.tables.truncate(n);
-        for t in &mut s.tables {
-            t.clear();
-        }
-        s.tables.resize_with(n, Vec::new);
-
-        let view = DpView {
-            instance,
-            flat: &s.flat,
-            wcost: &s.wcost,
-            wpower: &s.wpower,
-        };
-        for p in s.flat.positions() {
-            compute_position(&view, p, &mut s.tables, &mut s.cur, &mut s.merge);
-        }
-
-        let mut candidates = Vec::new();
-        scan_root(
-            &view,
-            &s.tables[s.flat.root_position()],
-            delete_constant,
-            &mut candidates,
-        );
+        let (mut prefix, mut candidates) = (Vec::new(), Vec::new());
+        s.forward(instance, &mut prefix, &mut candidates);
         if candidates.is_empty() {
             *scratch = s;
             return Err(ModelError::Infeasible(
@@ -1007,8 +931,8 @@ impl<'a> PrunedPowerDp<'a> {
         Ok(PrunedPowerDp {
             instance,
             scratch: s,
+            prefix,
             candidates,
-            delete_constant,
         })
     }
 
@@ -1044,18 +968,26 @@ impl<'a> PrunedPowerDp<'a> {
         crate::frontier::pareto_filter(self.cost_power_points(), replica_model::COST_EPSILON)
     }
 
-    /// Rebuilds a placement achieving `candidate` (bit-exact backtrack, see
-    /// module docs).
+    /// Rebuilds a placement achieving `candidate` (bit-exact backtrack
+    /// over the run's fold prefixes, see the module docs).
     pub fn reconstruct(&self, candidate: &PrunedCandidate) -> Result<Placement, ModelError> {
         let s = &self.scratch;
-        let _ = self.delete_constant;
         let view = DpView {
             instance: self.instance,
             flat: &s.flat,
             wcost: &s.wcost,
             wpower: &s.wpower,
         };
-        reconstruct_in(&view, &s.tables, candidate)
+        let mut placement = Placement::with_slots(s.flat.len());
+        backtrack(
+            &view,
+            &s.tables,
+            &self.prefix,
+            candidate,
+            &mut placement,
+            &mut |_, _| false,
+        )?;
+        Ok(placement)
     }
 }
 
@@ -1068,7 +1000,8 @@ pub fn solve_min_power_bounded_cost(
 }
 
 /// [`solve_min_power_bounded_cost`] with reusable working memory — the fleet
-/// hot path (one [`PrunedScratch`] per thread, zero steady-state allocation).
+/// hot path (one [`PrunedScratch`] per thread; only the run's fold prefixes
+/// are allocated per solve).
 pub fn solve_min_power_bounded_cost_in(
     instance: &Instance,
     cost_bound: f64,

@@ -56,21 +56,16 @@ pub struct GreedyScratch {
 /// Fails with [`ModelError::Infeasible`] when some node's direct client load
 /// exceeds `capacity` (those requests are inseparable under the closest
 /// policy).
-pub fn greedy_min_replicas(tree: &Tree, capacity: u64) -> Result<GreedyResult, ModelError> {
-    greedy_min_replicas_in(tree, capacity, &mut GreedyScratch::default())
-}
-
-/// [`greedy_min_replicas`] with caller-provided scratch buffers.
 ///
 /// Builds a fresh [`FlatTree`] per call; sweep-style callers that solve the
-/// same tree repeatedly should build the layout once and call
+/// same tree repeatedly build the layout once and call
 /// [`greedy_min_replicas_flat`] directly (see [`crate::greedy_power`]).
-pub fn greedy_min_replicas_in(
-    tree: &Tree,
-    capacity: u64,
-    scratch: &mut GreedyScratch,
-) -> Result<GreedyResult, ModelError> {
-    greedy_min_replicas_flat(&FlatTree::new(tree), capacity, scratch)
+pub fn greedy_min_replicas(tree: &Tree, capacity: u64) -> Result<GreedyResult, ModelError> {
+    greedy_min_replicas_flat(
+        &FlatTree::new(tree),
+        capacity,
+        &mut GreedyScratch::default(),
+    )
 }
 
 /// The flat-layout `GR` kernel: one forward scan over post-order positions.

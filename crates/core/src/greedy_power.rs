@@ -17,8 +17,9 @@
 //! of minimal power.
 
 use crate::arena::SolveArena;
-use crate::greedy::greedy_min_replicas_flat;
+use crate::greedy::{greedy_min_replicas_flat, GreedyScratch};
 use replica_model::{le_tolerant, Instance, ModePolicy, ModelError, Placement, Solution};
+use replica_tree::FlatTree;
 
 /// One sweep point of the `GR` baseline.
 #[derive(Clone, Debug)]
@@ -35,35 +36,24 @@ pub struct SweepPoint {
     pub servers: u64,
 }
 
-/// Runs the greedy for every trial capacity and evaluates each outcome.
-/// Infeasible trial capacities (bundle larger than the trial `W`) are
-/// skipped.
-pub fn sweep<I: IntoIterator<Item = u64>>(
-    instance: &Instance,
-    trial_capacities: I,
-) -> Vec<SweepPoint> {
-    sweep_in(instance, trial_capacities, &mut SolveArena::default())
-}
-
-/// [`sweep`] with a caller-provided [`SolveArena`] — the fleet hot path.
+/// The sweep kernel: runs the greedy for every trial capacity `W₁..=W_M`
+/// over `flat` and evaluates each outcome. Infeasible trial capacities
+/// (bundle larger than the trial `W`) are skipped.
 ///
-/// The flat layout is rebuilt **once** per instance and every trial
-/// capacity re-runs the allocation-free greedy kernel over it; with a
-/// per-thread arena the whole `W₁..=W_M` sweep allocates nothing in steady
-/// state beyond the returned placements.
-pub fn sweep_in<I: IntoIterator<Item = u64>>(
+/// `flat` must hold the instance's current demand, either freshly
+/// [rebuilt](FlatTree::rebuild) or kept fresh by
+/// [`FlatTree::refresh_demand`]; every trial re-runs the allocation-free
+/// greedy kernel over it.
+fn sweep_flat(
     instance: &Instance,
-    trial_capacities: I,
-    arena: &mut SolveArena,
+    flat: &FlatTree,
+    scratch: &mut GreedyScratch,
 ) -> Vec<SweepPoint> {
+    let lo = instance.modes().capacity(0);
+    let hi = instance.max_capacity();
     let mut out = Vec::new();
-    arena.flat.rebuild(instance.tree());
-    for w in trial_capacities {
-        // A trial capacity above W_M would overload the real modes; skip.
-        if w == 0 || w > instance.max_capacity() {
-            continue;
-        }
-        let Ok(greedy) = greedy_min_replicas_flat(&arena.flat, w, &mut arena.greedy) else {
+    for w in lo..=hi {
+        let Ok(greedy) = greedy_min_replicas_flat(flat, w, scratch) else {
             continue;
         };
         // Re-moding to the lowest feasible mode cannot fail here: every
@@ -73,30 +63,49 @@ pub fn sweep_in<I: IntoIterator<Item = u64>>(
                 .expect("greedy placements with trial W ≤ W_M are feasible");
         out.push(SweepPoint {
             trial_capacity: w,
-            placement: sol.placement.clone(),
+            servers: sol.counts.total_servers(),
+            placement: sol.placement,
             cost: sol.cost,
             power: sol.power,
-            servers: sol.counts.total_servers(),
         });
     }
     out
 }
 
-/// The paper's sweep range: every integer capacity from `W₁` to `W_M`.
+/// The minimum-power sweep point within `cost_bound` over `flat` (see
+/// [`sweep_flat`]) — [`solve_in`] and
+/// [`IncrementalDp::greedy_fallback`](crate::IncrementalDp::greedy_fallback)
+/// both answer through it.
+pub(crate) fn solve_flat(
+    instance: &Instance,
+    flat: &FlatTree,
+    scratch: &mut GreedyScratch,
+    cost_bound: f64,
+) -> Result<SweepPoint, ModelError> {
+    let points = sweep_flat(instance, flat, scratch);
+    best_within(&points, cost_bound).cloned().ok_or_else(|| {
+        ModelError::Infeasible(format!(
+            "greedy sweep finds nothing under cost {cost_bound}"
+        ))
+    })
+}
+
+/// The paper's sweep: every integer capacity from `W₁` to `W_M`.
 pub fn paper_sweep(instance: &Instance) -> Vec<SweepPoint> {
-    let lo = instance.modes().capacity(0);
-    let hi = instance.max_capacity();
-    sweep(instance, lo..=hi)
+    paper_sweep_in(instance, &mut SolveArena::default())
 }
 
-/// [`paper_sweep`] with a caller-provided [`SolveArena`].
+/// [`paper_sweep`] with a caller-provided [`SolveArena`] — the fleet hot
+/// path. The flat layout is rebuilt **once** per instance; with a
+/// per-thread arena the whole sweep allocates nothing in steady state
+/// beyond the returned placements.
 pub fn paper_sweep_in(instance: &Instance, arena: &mut SolveArena) -> Vec<SweepPoint> {
-    let lo = instance.modes().capacity(0);
-    let hi = instance.max_capacity();
-    sweep_in(instance, lo..=hi, arena)
+    arena.flat.rebuild(instance.tree());
+    sweep_flat(instance, &arena.flat, &mut arena.greedy)
 }
 
-/// Minimum-power sweep point with cost within `cost_bound`.
+/// Minimum-power sweep point with cost within `cost_bound` (the first
+/// minimum in sweep order on `(power, cost)` ties).
 pub fn best_within(points: &[SweepPoint], cost_bound: f64) -> Option<&SweepPoint> {
     points
         .iter()
@@ -115,19 +124,15 @@ pub fn solve_in(
     cost_bound: f64,
     arena: &mut SolveArena,
 ) -> Result<SweepPoint, ModelError> {
-    let points = paper_sweep_in(instance, arena);
-    best_within(&points, cost_bound).cloned().ok_or_else(|| {
-        ModelError::Infeasible(format!(
-            "greedy sweep finds nothing under cost {cost_bound}"
-        ))
-    })
+    arena.flat.rebuild(instance.tree());
+    solve_flat(instance, &arena.flat, &mut arena.greedy, cost_bound)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use replica_model::{CostModel, ModeSet, PowerModel, PreExisting};
-    use replica_tree::{generate, GeneratorConfig, TreeBuilder};
+    use replica_tree::{generate, GeneratorConfig};
 
     fn paper_like_instance(seed: u64) -> Instance {
         use rand::{rngs::StdRng, SeedableRng};
@@ -194,17 +199,5 @@ mod tests {
         let inst = paper_like_instance(4);
         assert!(solve(&inst, 0.0).is_err());
         assert!(solve(&inst, f64::INFINITY).is_ok());
-    }
-
-    #[test]
-    fn trial_above_max_capacity_skipped() {
-        let mut b = TreeBuilder::new();
-        b.add_client(b.root(), 3);
-        let inst = Instance::builder(b.build().unwrap())
-            .modes(ModeSet::new(vec![5, 10]).unwrap())
-            .build()
-            .unwrap();
-        let pts = sweep(&inst, [0u64, 5, 10, 20]);
-        assert_eq!(pts.len(), 2, "W = 0 and W = 20 must be skipped");
     }
 }

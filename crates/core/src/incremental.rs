@@ -8,39 +8,48 @@
 //! update at node `q` therefore invalidates exactly `q` and its ancestors —
 //! the root path — and every other table can be reused **verbatim**.
 //!
-//! [`IncrementalDp`] exploits this. It owns the instance, keeps the
-//! [`FlatTree`] demand snapshot fresh with
-//! [`FlatTree::refresh_demand`] (exact `u64` delta propagation — identical
-//! to a rebuild), marks touched positions in a [`DirtySet`], and on
+//! [`IncrementalDp`] exploits this. It owns the instance and embeds the
+//! batch solver's [`PrunedScratch`] (layout, weights, merge buffers,
+//! tables) plus the fold prefixes of every position. [`IncrementalDp::new`]
+//! runs the same full forward pass as
+//! [`PrunedPowerDp::run_in`](crate::dp_power_pruned::PrunedPowerDp::run_in).
+//! After that the solver keeps the [`FlatTree`](replica_tree::FlatTree)
+//! demand snapshot fresh with
+//! [`FlatTree::refresh_demand`](replica_tree::FlatTree::refresh_demand)
+//! (exact `u64` delta propagation, identical to a rebuild) and marks
+//! touched positions in a [`DirtySet`].
+//!
 //! [`IncrementalDp::resolve`] sweeps the ancestor-closed dirty set in
-//! ascending post order, recomputing each swept table with
-//! `compute_position_cached` — the *same* forward-pass merge kernel
-//! [`PrunedPowerDp`](crate::dp_power_pruned::PrunedPowerDp) runs, plus a
-//! fold-prefix cache that restarts each fold at the first child whose
-//! table actually changed and hands the backtrack its intermediate
-//! tables for free. Untouched
-//! children feed the recompute bit-identical inputs, so by induction every
-//! recomputed table — and hence the root scan, the budget filter, and the
-//! backtracked placement — is **bit-identical to a from-scratch solve**.
-//! This is not a tolerance claim; the equivalence battery
-//! (`tests/incremental_equivalence.rs`) pins `to_bits` equality on cost and
-//! power plus placement equality after every epoch.
+//! ascending post order through the batch solver's one forward step,
+//! restarting each fold at the first child whose table changed. It then
+//! rescans the root and runs the batch solver's one backtrack over the
+//! cached fold prefixes. Untouched children feed the recompute
+//! bit-identical inputs, so by induction every recomputed table — and
+//! hence the root scan, the budget filter, and the backtracked placement
+//! — is **bit-identical to a from-scratch solve**. This is not a
+//! tolerance claim; the equivalence battery
+//! (`tests/incremental_equivalence.rs`) pins `to_bits` equality on cost
+//! and power plus placement equality after every epoch. On top of the
+//! shared backtrack, `resolve` keeps the last placement and skips every
+//! subtree whose tables and target are unchanged since it was produced.
 //!
 //! When an epoch dirties a large fraction of the tree, the incremental
-//! recompute approaches a full solve; for latency-bound callers
-//! [`IncrementalDp::greedy_fallback`] runs the paper's capacity-swept
-//! greedy (`GR` of §5.2) **warm-started** on the already-fresh flat layout
-//! — no rebuild, no table work — and crucially leaves the dirty marks in
-//! place, so the next exact [`IncrementalDp::resolve`] reconciles
-//! everything that accumulated since the last DP epoch.
+//! recompute approaches a full solve. For latency-bound callers
+//! [`IncrementalDp::greedy_fallback`] answers with the paper's
+//! capacity-swept greedy (`GR` of §5.2) through the same sweep kernel as
+//! [`greedy_power::solve_in`], run on the already-fresh flat layout: no
+//! rebuild, no table work. It leaves the dirty marks in place, so the next
+//! exact [`IncrementalDp::resolve`] reconciles everything that accumulated
+//! since the last DP epoch.
 
 use crate::dp_power_pruned::{
-    best_candidate_within, compute_position_cached, deletion_constant, fill_weights,
-    reconstruct_seeded, scan_root, DpView, MergeScratch, PrunedCandidate, Triple,
+    backtrack, best_candidate_within, compute_position, deletion_constant, scan_root, DpView,
+    PrunedCandidate, PrunedScratch, Triple,
 };
-use crate::greedy::{greedy_min_replicas_flat, GreedyScratch};
-use replica_model::{le_tolerant, Instance, ModePolicy, ModelError, Placement, Solution};
-use replica_tree::{ClientId, DirtySet, FlatTree};
+use crate::greedy::GreedyScratch;
+use crate::greedy_power;
+use replica_model::{Instance, ModelError, Placement};
+use replica_tree::{ClientId, DirtySet};
 
 /// A persistent pruned-DP solver over one instance with mutable demand.
 ///
@@ -69,17 +78,14 @@ use replica_tree::{ClientId, DirtySet, FlatTree};
 /// ```
 pub struct IncrementalDp {
     instance: Instance,
-    flat: FlatTree,
-    /// `tables[p]`: the Pareto table of position `p`, always current except
-    /// at dirty positions.
-    tables: Vec<Vec<Triple>>,
-    /// `inters[p][k]`: the fold accumulator *before* merging child `k` of
-    /// position `p` (see [`compute_position_cached`]). Lets a recompute
-    /// restart at the first changed child instead of refolding every
-    /// child, and hands the backtrack its intermediate tables for free.
-    inters: Vec<Vec<Vec<Triple>>>,
-    wcost: Vec<f64>,
-    wpower: Vec<f64>,
+    /// The layout, weights, merge buffers and tables, shared with the
+    /// batch solver. `pruned.tables[p]` is current except at dirty
+    /// positions.
+    pruned: PrunedScratch,
+    /// The fold prefixes of every position (see `compute_position`). They
+    /// let a recompute restart at the first changed child instead of
+    /// refolding every child, and they are the backtrack's input.
+    prefix: Vec<Vec<Triple>>,
     delete_constant: f64,
     dirty: DirtySet,
     sweep: Vec<usize>,
@@ -90,7 +96,6 @@ pub struct IncrementalDp {
     direct: Vec<bool>,
     direct_list: Vec<usize>,
     candidates: Vec<PrunedCandidate>,
-    merge: MergeScratch,
     greedy: GreedyScratch,
     last_recomputed: usize,
     // Reconstruct-reuse cache. The backtrack below position `p` is a
@@ -120,55 +125,28 @@ impl IncrementalDp {
     /// Builds the solver and runs the initial full forward pass, so the
     /// first [`IncrementalDp::resolve`] is table-warm.
     pub fn new(instance: Instance) -> Self {
-        let flat = FlatTree::new(instance.tree());
-        let n = flat.len();
-        let mut dp = IncrementalDp {
+        let mut pruned = PrunedScratch::default();
+        let (mut prefix, mut candidates) = (Vec::new(), Vec::new());
+        pruned.forward(&instance, &mut prefix, &mut candidates);
+        let n = pruned.flat.len();
+        IncrementalDp {
             delete_constant: deletion_constant(&instance),
             instance,
-            flat,
-            tables: Vec::new(),
-            inters: vec![Vec::new(); n],
-            wcost: Vec::new(),
-            wpower: Vec::new(),
+            pruned,
+            prefix,
             dirty: DirtySet::with_len(n),
             sweep: Vec::new(),
             in_sweep: vec![false; n],
             direct: vec![false; n],
             direct_list: Vec::new(),
-            candidates: Vec::new(),
-            merge: MergeScratch::default(),
+            candidates,
             greedy: GreedyScratch::default(),
             last_recomputed: 0,
             prev_placement: None,
             prev_targets: vec![None; n],
             stale: vec![false; n],
             stale_list: Vec::new(),
-        };
-        fill_weights(&dp.instance, &dp.flat, &mut dp.wcost, &mut dp.wpower);
-        dp.tables.resize_with(n, Vec::new);
-        let view = DpView {
-            instance: &dp.instance,
-            flat: &dp.flat,
-            wcost: &dp.wcost,
-            wpower: &dp.wpower,
-        };
-        for p in dp.flat.positions() {
-            compute_position_cached(
-                &view,
-                p,
-                0,
-                &mut dp.tables,
-                &mut dp.inters[p],
-                &mut dp.merge,
-            );
         }
-        scan_root(
-            &view,
-            &dp.tables[dp.flat.root_position()],
-            dp.delete_constant,
-            &mut dp.candidates,
-        );
-        dp
     }
 
     /// The instance being served (topology, models, current demand).
@@ -178,7 +156,13 @@ impl IncrementalDp {
 
     /// Number of tree nodes.
     pub fn node_count(&self) -> usize {
-        self.flat.len()
+        self.pruned.flat.len()
+    }
+
+    /// Total request volume over the tree (the root's subtree load).
+    pub fn total_demand(&self) -> u64 {
+        let flat = &self.pruned.flat;
+        flat.subtree_load(flat.root_position())
     }
 
     /// Positions explicitly dirtied since the last resolve (before
@@ -190,7 +174,7 @@ impl IncrementalDp {
     /// Dirty fraction of the tree — the warm-start policy input: above a
     /// caller-chosen threshold, prefer [`IncrementalDp::greedy_fallback`].
     pub fn dirty_fraction(&self) -> f64 {
-        self.dirty.marked_len() as f64 / self.flat.len() as f64
+        self.dirty.marked_len() as f64 / self.pruned.flat.len() as f64
     }
 
     /// Positions recomputed by the last [`IncrementalDp::resolve`]
@@ -201,7 +185,7 @@ impl IncrementalDp {
 
     /// Total entries across all node tables (diagnostics).
     pub fn table_entries(&self) -> usize {
-        self.tables.iter().map(Vec::len).sum()
+        self.pruned.tables.iter().map(Vec::len).sum()
     }
 
     /// Updates one client's request volume. Returns whether the attach
@@ -209,8 +193,9 @@ impl IncrementalDp {
     pub fn set_requests(&mut self, client: ClientId, volume: u64) -> bool {
         let node = self.instance.tree().client(client).attach;
         self.instance.tree_mut().set_requests(client, volume);
-        if self.flat.refresh_demand(self.instance.tree(), node) {
-            let p = self.flat.position_of(node);
+        let flat = &mut self.pruned.flat;
+        if flat.refresh_demand(self.instance.tree(), node) {
+            let p = flat.position_of(node);
             self.dirty.mark(p);
             self.mark_direct(p);
             true
@@ -222,7 +207,7 @@ impl IncrementalDp {
     /// Forces the next [`IncrementalDp::resolve`] to recompute every table
     /// (a from-scratch epoch through the same code path).
     pub fn mark_all(&mut self) {
-        for p in self.flat.positions() {
+        for p in self.pruned.flat.positions() {
             self.dirty.mark(p);
             self.mark_direct(p);
         }
@@ -241,13 +226,20 @@ impl IncrementalDp {
     /// fresh [`solve_min_power_bounded_cost`](crate::dp_power_pruned::solve_min_power_bounded_cost)
     /// on the same demand.
     pub fn resolve(&mut self, cost_bound: f64) -> Result<(Placement, f64, f64), ModelError> {
-        self.dirty.sweep(&self.flat, &mut self.sweep);
+        let PrunedScratch {
+            flat,
+            tables,
+            merge,
+            wcost,
+            wpower,
+        } = &mut self.pruned;
+        self.dirty.sweep(flat, &mut self.sweep);
         self.last_recomputed = self.sweep.len();
         let view = DpView {
             instance: &self.instance,
-            flat: &self.flat,
-            wcost: &self.wcost,
-            wpower: &self.wpower,
+            flat,
+            wcost,
+            wpower,
         };
         for &p in &self.sweep {
             self.in_sweep[p] = true;
@@ -264,20 +256,12 @@ impl IncrementalDp {
             let start = if self.direct[p] {
                 0
             } else {
-                self.flat
-                    .children(p)
+                flat.children(p)
                     .iter()
                     .position(|&c| self.in_sweep[c as usize])
                     .unwrap_or(0)
             };
-            compute_position_cached(
-                &view,
-                p,
-                start,
-                &mut self.tables,
-                &mut self.inters[p],
-                &mut self.merge,
-            );
+            compute_position(&view, p, start, tables, &mut self.prefix, merge);
         }
         for &p in &self.sweep {
             self.in_sweep[p] = false;
@@ -287,7 +271,7 @@ impl IncrementalDp {
         }
         scan_root(
             &view,
-            &self.tables[self.flat.root_position()],
+            &tables[flat.root_position()],
             self.delete_constant,
             &mut self.candidates,
         );
@@ -304,54 +288,33 @@ impl IncrementalDp {
                 )))
             }
         };
-        // Backtrack, reusing cached sub-placements for subtrees whose
-        // tables are fresh since the last backtrack and whose target
-        // triple is bit-identical — the decisions there cannot differ.
-        let mut placement;
-        let walked = {
-            let stale = &self.stale;
-            let prev_targets = &mut self.prev_targets;
-            match self.prev_placement.as_ref() {
-                Some(prev) => {
-                    placement = prev.clone();
-                    reconstruct_seeded(
-                        &view,
-                        &self.tables,
-                        &best,
-                        Some(&self.inters),
-                        &mut placement,
-                        &mut |p, t| {
-                            let bits = target_bits(t);
-                            if !stale[p] && prev_targets[p] == Some(bits) {
-                                return true;
-                            }
-                            prev_targets[p] = Some(bits);
-                            false
-                        },
-                    )
+        // Backtrack over the last placement, skipping subtrees whose
+        // tables are fresh since it was produced and whose target triple
+        // is bit-identical — the decisions there cannot differ.
+        let reuse = self.prev_placement.is_some();
+        let mut placement = self
+            .prev_placement
+            .take()
+            .unwrap_or_else(|| Placement::with_slots(flat.len()));
+        let stale = &self.stale;
+        let prev_targets = &mut self.prev_targets;
+        // On failure `prev_targets` may be half-updated; the cached
+        // placement stays dropped, so the next epoch walks everything.
+        backtrack(
+            &view,
+            tables,
+            &self.prefix,
+            &best,
+            &mut placement,
+            &mut |p, t| {
+                let bits = target_bits(t);
+                if reuse && !stale[p] && prev_targets[p] == Some(bits) {
+                    return true;
                 }
-                None => {
-                    placement = Placement::with_slots(self.flat.len());
-                    reconstruct_seeded(
-                        &view,
-                        &self.tables,
-                        &best,
-                        Some(&self.inters),
-                        &mut placement,
-                        &mut |p, t| {
-                            prev_targets[p] = Some(target_bits(t));
-                            false
-                        },
-                    )
-                }
-            }
-        };
-        if let Err(e) = walked {
-            // A failed backtrack may have half-updated `prev_targets`;
-            // drop the cache so the next epoch rebuilds from scratch.
-            self.prev_placement = None;
-            return Err(e);
-        }
+                prev_targets[p] = Some(bits);
+                false
+            },
+        )?;
         self.prev_placement = Some(placement.clone());
         for p in self.stale_list.drain(..) {
             self.stale[p] = false;
@@ -370,37 +333,13 @@ impl IncrementalDp {
         &mut self,
         cost_bound: f64,
     ) -> Result<(Placement, f64, f64), ModelError> {
-        let lo = self.instance.modes().capacity(0);
-        let hi = self.instance.max_capacity();
-        let mut best: Option<(Placement, f64, f64)> = None;
-        for w in lo..=hi {
-            let Ok(greedy) = greedy_min_replicas_flat(&self.flat, w, &mut self.greedy) else {
-                continue;
-            };
-            // Re-moding to the lowest feasible mode cannot fail: every
-            // greedy load is ≤ w ≤ W_M.
-            let sol = Solution::evaluate_with_policy(
-                &self.instance,
-                &greedy.placement,
-                ModePolicy::LowestFeasible,
-            )
-            .expect("greedy placements with trial W ≤ W_M are feasible");
-            if !le_tolerant(sol.cost, cost_bound) {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some((_, bc, bp)) => sol.power.total_cmp(bp).then(sol.cost.total_cmp(bc)).is_lt(),
-            };
-            if better {
-                best = Some((sol.placement.clone(), sol.cost, sol.power));
-            }
-        }
-        best.ok_or_else(|| {
-            ModelError::Infeasible(format!(
-                "greedy sweep finds nothing under cost {cost_bound}"
-            ))
-        })
+        let best = greedy_power::solve_flat(
+            &self.instance,
+            &self.pruned.flat,
+            &mut self.greedy,
+            cost_bound,
+        )?;
+        Ok((best.placement, best.cost, best.power))
     }
 }
 
@@ -410,7 +349,7 @@ mod tests {
     use crate::dp_power_pruned::solve_min_power_bounded_cost;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use replica_model::{CostModel, ModeSet, PowerModel, PreExisting};
+    use replica_model::{CostModel, ModeSet, PowerModel, PreExisting, Solution};
     use replica_tree::{generate, GeneratorConfig};
 
     fn instance(seed: u64, nodes: usize) -> Instance {

@@ -16,13 +16,15 @@
 //!   exactly the arena-reuse regime the fleet runs — so bit-equality also
 //!   re-proves that scratch history is invisible;
 //! * interleaved [`IncrementalDp::greedy_fallback`] epochs, which must
-//!   leave the exact state reconcilable (dirty marks intact).
+//!   leave the exact state reconcilable (dirty marks intact) and answer
+//!   exactly what the batch `greedy_power::solve_in` answers on the same
+//!   demand.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use replica_core::dp_power_pruned::{solve_min_power_bounded_cost_in, PrunedScratch};
-use replica_core::IncrementalDp;
+use replica_core::{greedy_power, IncrementalDp, SolveArena};
 use replica_model::{CostModel, Instance, ModeSet, PowerModel, PreExisting};
 use replica_tree::{generate, ClientId, GeneratorConfig};
 use std::cell::RefCell;
@@ -159,8 +161,23 @@ proptest! {
             }
             if i % 2 == 0 {
                 let dirty = dp.dirty_len();
-                let _ = dp.greedy_fallback(f64::INFINITY);
+                let fallback = dp.greedy_fallback(f64::INFINITY);
                 assert_eq!(dp.dirty_len(), dirty, "fallback must not clear marks");
+                // The fallback is the batch `GR` sweep on the live demand.
+                let batch = greedy_power::solve_in(
+                    dp.instance(),
+                    f64::INFINITY,
+                    &mut SolveArena::default(),
+                );
+                match (fallback, batch) {
+                    (Ok((placement, cost, power)), Ok(point)) => {
+                        prop_assert_eq!(placement, point.placement);
+                        prop_assert_eq!(cost.to_bits(), point.cost.to_bits());
+                        prop_assert_eq!(power.to_bits(), point.power.to_bits());
+                    }
+                    (Err(_), Err(_)) => {}
+                    other => prop_assert!(false, "feasibility diverged: {:?}", other),
+                }
             } else {
                 assert_epoch_matches(&mut dp, f64::INFINITY);
             }

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 thread_local! {
     /// Per-worker solve arena: fleet threads re-enter the hot solvers
     /// thousands of times, and the arena lets every solve after the first
-    /// run allocation-free in steady state.
+    /// reuse the layouts, tables and buffers the earlier ones grew.
     static SOLVE_ARENA: RefCell<SolveArena> = RefCell::new(SolveArena::new());
 }
 

@@ -395,6 +395,20 @@ impl Session<'_> {
                             client.index()
                         )));
                     }
+                    // Checked before ingest: if the root total fits, every
+                    // node and subtree sum below it fits too.
+                    let server = self.server();
+                    let fits = server
+                        .total_demand()
+                        .checked_sub(server.tree().requests(client))
+                        .and_then(|rest| rest.checked_add(volume))
+                        .is_some();
+                    if !fits {
+                        return Err(CliError::Runtime(format!(
+                            "line {line_no}: volume {volume} for client {} overflows the total demand",
+                            client.index()
+                        )));
+                    }
                     self.server_mut().apply_delta(client, volume);
                 }
                 ServeEvent::Epoch => self.epoch()?,

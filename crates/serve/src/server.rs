@@ -216,6 +216,11 @@ impl PlacementServer {
         self.dp.instance().tree()
     }
 
+    /// Total request volume currently served.
+    pub fn total_demand(&self) -> u64 {
+        self.dp.total_demand()
+    }
+
     /// Epoch-loop policy in effect.
     pub fn config(&self) -> &ServeConfig {
         &self.config

@@ -171,6 +171,28 @@ fn bad_replay_lines_fail_with_exit_one() {
         out.to_str().unwrap(),
     ]);
     assert_eq!(code, 1);
+    // A volume that would overflow the total demand is rejected at its
+    // line, before it reaches the layout's unchecked sums.
+    std::fs::write(
+        &replay,
+        "{\"event\":\"delta\",\"client\":0,\"volume\":18446744073709551615}\n\
+         {\"event\":\"delta\",\"client\":1,\"volume\":1}\n",
+    )
+    .unwrap();
+    for oracle in [false, true] {
+        let mut args = vec![
+            "--replay",
+            replay.to_str().unwrap(),
+            "--nodes",
+            "40",
+            "--out",
+            out.to_str().unwrap(),
+        ];
+        if oracle {
+            args.push("--oracle");
+        }
+        assert_eq!(run(&args), 1, "oracle: {oracle}");
+    }
     std::fs::remove_file(&replay).ok();
     std::fs::remove_file(&out).ok();
 }
