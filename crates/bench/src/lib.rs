@@ -1,13 +1,12 @@
-//! # `replica-bench` — benchmark suite fixtures
+//! # `replica-bench` — benchmark fixtures and trajectory binaries
 //!
-//! Shared deterministic instance builders for the criterion benches under
-//! `benches/` (DP ablations, heuristic head-to-heads, fleet-level sweeps)
-//! and the `timing` / `jobspace_trajectory` binaries (the latter emits
-//! the committed `BENCH_jobspace.json` perf-trajectory artifact, which
-//! times lazy-vs-eager job generation). Everything
-//! is seeded so runs are comparable across machines and commits;
-//! dispatch goes through the engine registry, so what is benched is
-//! exactly what fleet runs execute.
+//! Shared deterministic instance builders for the `timing` head-to-head,
+//! the binaries that emit the committed `BENCH_*.json` artifacts
+//! (`solvers_trajectory`, `jobspace_trajectory`, `obs_overhead`, and
+//! `replica-serve`'s `serve_trajectory`) and the repository benchmark
+//! under `perfbench/`. Everything is seeded so runs are
+//! comparable across machines and commits; dispatch goes through the
+//! engine registry, so what is timed is exactly what fleet runs execute.
 //!
 //! Architecture overview: `docs/ARCHITECTURE.md` at the repository root.
 
@@ -79,19 +78,11 @@ pub fn fat_linear_power_instance(seed: u64, nodes: usize, pre_count: usize) -> I
         .unwrap()
 }
 
-/// Deterministic single-mode `MinCost-WithPre` instance.
-pub fn min_cost_instance(seed: u64, nodes: usize, pre_count: usize) -> Instance {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let tree = generate::random_tree(&GeneratorConfig::paper_fat(nodes), &mut rng);
-    let pre = generate::random_pre_existing(&tree, pre_count, &mut rng);
-    Instance::min_cost(tree, 10, pre, 0.1, 0.01).unwrap()
-}
-
 /// A small standard fleet (every engine scenario family at `nodes`
 /// internal nodes, `per_scenario` instances each) as a validated
 /// campaign, built through the
 /// engine's declarative spec layer ([`replica_engine::CampaignSpec`]) —
-/// what is benched is exactly what spec-driven fleet runs execute:
+/// what is timed is exactly what spec-driven fleet runs execute:
 /// `campaign.space()` is the lazy job space, `campaign.fleet_config()`
 /// the runner configuration.
 pub fn standard_campaign<S: Into<String>>(

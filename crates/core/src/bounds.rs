@@ -19,24 +19,24 @@
 //! with the root using `⌈total/W⌉` (nothing escapes the root).
 
 use replica_model::Instance;
-use replica_tree::{traversal, Tree};
+use replica_tree::{FlatTree, Tree};
 
 /// Lower bound on the number of replicas any feasible solution needs at
 /// capacity `capacity`. Returns 0 when the tree has no requests.
 pub fn min_servers(tree: &Tree, capacity: u64) -> u64 {
     assert!(capacity > 0, "capacity must be positive");
-    let n = tree.internal_count();
-    let counts = traversal::SubtreeCounts::new(tree);
-    let mut lb = vec![0u64; n];
-    for node in traversal::post_order(tree) {
-        let i = node.index();
-        let q = counts.requests_within[i];
-        let need = q.saturating_sub(capacity).div_ceil(capacity);
-        let children_sum: u64 = tree.children(node).iter().map(|c| lb[c.index()]).sum();
-        lb[i] = need.max(children_sum);
+    let flat = FlatTree::new(tree);
+    let mut lb = vec![0u64; flat.len()];
+    for p in flat.positions() {
+        let need = flat
+            .subtree_load(p)
+            .saturating_sub(capacity)
+            .div_ceil(capacity);
+        let children_sum: u64 = flat.children(p).iter().map(|&c| lb[c as usize]).sum();
+        lb[p] = need.max(children_sum);
     }
-    let total = tree.total_requests();
-    lb[tree.root().index()].max(total.div_ceil(capacity))
+    let total = flat.subtree_load(flat.root_position());
+    lb[flat.root_position()].max(total.div_ceil(capacity))
 }
 
 /// Lower bound on Eq. 3 power for any feasible solution of `instance`.

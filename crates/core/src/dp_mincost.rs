@@ -24,7 +24,7 @@
 //! at the price of a second (cheap) pass along the chosen path.
 
 use replica_model::{le_tolerant, Instance, ModelError, Placement};
-use replica_tree::{traversal, NodeId, Tree};
+use replica_tree::FlatTree;
 
 /// Flow sentinel for "no solution with these counts".
 const INFEASIBLE: u64 = u64::MAX;
@@ -102,16 +102,19 @@ pub fn solve_min_cost(instance: &Instance) -> Result<MinCostResult, ModelError> 
         1,
         "MinCost-WithPre is the single-mode problem; use dp_power for modes"
     );
-    let tree = instance.tree();
+    let flat = FlatTree::new(instance.tree());
     let capacity = instance.max_capacity();
     let pre_nodes = instance.pre_existing().nodes();
-    let is_pre = pre_flags(tree, &pre_nodes);
-    let tables = forward_pass(tree, capacity, &is_pre)?;
+    let mut is_pre = vec![false; flat.len()];
+    for &node in &pre_nodes {
+        is_pre[flat.position_of(node)] = true;
+    }
+    let tables = forward_pass(&flat, capacity, &is_pre)?;
 
     // Algorithm 4: scan the root table with Eq. 2.
-    let root = tree.root();
+    let root = flat.root_position();
     let e_total = pre_nodes.len() as u64;
-    let root_is_pre = is_pre[root.index()];
+    let root_is_pre = is_pre[root];
     let mut best: Option<(f64, u64, u64, usize, usize, bool)> = None; // cost, R, reused, e, n, root server
     let consider = |cost: f64,
                     servers: u64,
@@ -132,7 +135,7 @@ pub fn solve_min_cost(instance: &Instance) -> Result<MinCostResult, ModelError> 
             *best = Some((cost, servers, reused, e, n, at_root));
         }
     };
-    for (e, n, flow) in tables[root.index()].entries() {
+    for (e, n, flow) in tables[root].entries() {
         let (e64, n64) = (e as u64, n as u64);
         if flow == 0 {
             // No replica needed at the root.
@@ -155,19 +158,11 @@ pub fn solve_min_cost(instance: &Instance) -> Result<MinCostResult, ModelError> 
         ModelError::Infeasible("no feasible replica placement for any (e, n)".into())
     })?;
 
-    let mut placement = Placement::empty(tree);
+    let mut placement = Placement::with_slots(flat.len());
     if at_root {
-        placement.insert(root, 0);
+        placement.insert(flat.node_at(root), 0);
     }
-    reconstruct(
-        tree,
-        capacity,
-        &is_pre,
-        &tables,
-        root,
-        (e, n),
-        &mut placement,
-    );
+    reconstruct(&flat, capacity, &is_pre, &tables, (e, n), &mut placement);
     debug_assert_eq!(placement.server_count() as u64, servers);
     Ok(MinCostResult {
         placement,
@@ -177,46 +172,41 @@ pub fn solve_min_cost(instance: &Instance) -> Result<MinCostResult, ModelError> 
     })
 }
 
-fn pre_flags(tree: &Tree, pre_nodes: &[NodeId]) -> Vec<bool> {
-    let mut is_pre = vec![false; tree.internal_count()];
-    for &p in pre_nodes {
-        is_pre[p.index()] = true;
+/// Bottom-up pass (Algorithms 1–3): fills every position's `(e, n)` table,
+/// sized by the pre-existing and new-server slots strictly below it.
+fn forward_pass(
+    flat: &FlatTree,
+    capacity: u64,
+    is_pre: &[bool],
+) -> Result<Vec<Table2>, ModelError> {
+    // `pre_before[p]` = pre-existing positions in `0..p`, so a subtree's
+    // count is a difference over its contiguous range.
+    let mut pre_before = Vec::with_capacity(flat.len() + 1);
+    let mut count = 0usize;
+    pre_before.push(count);
+    for &pre in is_pre {
+        count += usize::from(pre);
+        pre_before.push(count);
     }
-    is_pre
-}
 
-/// Bottom-up pass (Algorithms 1–3): fills every node's `(e, n)` table.
-fn forward_pass(tree: &Tree, capacity: u64, is_pre: &[bool]) -> Result<Vec<Table2>, ModelError> {
-    let pre_nodes: Vec<NodeId> = tree
-        .internal_nodes()
-        .filter(|n| is_pre[n.index()])
-        .collect();
-    let counts = traversal::SubtreeCounts::with_pre_existing(tree, &pre_nodes);
-
-    let mut tables: Vec<Table2> = (0..tree.internal_count())
-        .map(|_| Table2::new(0, 0))
-        .collect();
-    for node in traversal::post_order(tree) {
-        let direct = tree.client_load(node);
+    let mut tables: Vec<Table2> = Vec::with_capacity(flat.len());
+    for p in flat.positions() {
+        let direct = flat.client_load(p);
         if direct > capacity {
+            let node = flat.node_at(p);
             return Err(ModelError::Infeasible(format!(
                 "clients attached to {node} bundle {direct} requests > capacity {capacity}"
             )));
         }
-        let e_cap = counts.pre_existing_below[node.index()] as usize;
-        let n_cap = counts.new_slots_below(node) as usize;
+        let e_cap = pre_before[p] - pre_before[flat.subtree_range(p).start];
+        let n_cap = flat.subtree_size(p) - 1 - e_cap;
         let mut table = Table2::new(e_cap, n_cap);
         table.set(0, 0, direct);
-        for &child in tree.children(node) {
-            merge_child(
-                &mut table,
-                &tables[child.index()],
-                capacity,
-                is_pre[child.index()],
-                None,
-            );
+        for &c in flat.children(p) {
+            let c = c as usize;
+            merge_child(&mut table, &tables[c], capacity, is_pre[c], None);
         }
-        tables[node.index()] = table;
+        tables.push(table);
     }
     Ok(tables)
 }
@@ -274,38 +264,32 @@ fn merge_child(
     }
 }
 
-/// Rebuilds the replica set achieving `tables[start][target]` by re-running
+/// Rebuilds the replica set achieving `tables[root][target]` by re-running
 /// merge sequences with backpointers (iterative worklist: no recursion, so
 /// path-shaped trees of any height are fine).
 fn reconstruct(
-    tree: &Tree,
+    flat: &FlatTree,
     capacity: u64,
     is_pre: &[bool],
     tables: &[Table2],
-    start: NodeId,
     target: (usize, usize),
     placement: &mut Placement,
 ) {
-    let mut work: Vec<(NodeId, usize, usize)> = vec![(start, target.0, target.1)];
-    while let Some((node, e_target, n_target)) = work.pop() {
-        let children = tree.children(node);
+    let mut work: Vec<(usize, usize, usize)> = vec![(flat.root_position(), target.0, target.1)];
+    while let Some((p, e_target, n_target)) = work.pop() {
+        let children = flat.children(p);
         if children.is_empty() {
             debug_assert_eq!((e_target, n_target), (0, 0));
             continue;
         }
-        let final_table = &tables[node.index()];
+        let final_table = &tables[p];
         let mut table = Table2::new(final_table.e_max, final_table.n_max);
-        table.set(0, 0, tree.client_load(node));
+        table.set(0, 0, flat.client_load(p));
         let mut steps: Vec<Vec<BackPtr>> = Vec::with_capacity(children.len());
-        for &child in children {
+        for &c in children {
+            let c = c as usize;
             let mut bp: Vec<BackPtr> = Vec::new();
-            merge_child(
-                &mut table,
-                &tables[child.index()],
-                capacity,
-                is_pre[child.index()],
-                Some(&mut bp),
-            );
+            merge_child(&mut table, &tables[c], capacity, is_pre[c], Some(&mut bp));
             steps.push(bp);
         }
         debug_assert_eq!(
@@ -315,25 +299,22 @@ fn reconstruct(
         );
 
         let (mut e_cur, mut n_cur) = (e_target, n_target);
-        for (k, &child) in children.iter().enumerate().rev() {
+        for (bp, &c) in steps.iter().zip(children).rev() {
+            let c = c as usize;
             let i = table.idx(e_cur, n_cur);
-            let (e1, n1, server) = steps[k][i].expect("reachable entries must carry a backpointer");
+            let (e1, n1, server) = bp[i].expect("reachable entries must carry a backpointer");
             let (e1, n1) = (e1 as usize, n1 as usize);
-            let (de, dn) = if is_pre[child.index()] {
-                (1, 0)
-            } else {
-                (0, 1)
-            };
+            let (de, dn) = if is_pre[c] { (1, 0) } else { (0, 1) };
             let (e_child, n_child) = if server {
                 (e_cur - e1 - de, n_cur - n1 - dn)
             } else {
                 (e_cur - e1, n_cur - n1)
             };
             if server {
-                placement.insert(child, 0);
+                placement.insert(flat.node_at(c), 0);
             }
             if e_child > 0 || n_child > 0 || server {
-                work.push((child, e_child, n_child));
+                work.push((c, e_child, n_child));
             }
             e_cur = e1;
             n_cur = n1;

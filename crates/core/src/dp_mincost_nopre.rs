@@ -17,7 +17,7 @@
 //! suite strong cross-validation.
 
 use replica_model::{ModelError, Placement};
-use replica_tree::{traversal, NodeId, Tree};
+use replica_tree::{FlatTree, Tree};
 
 /// Flow sentinel for "no solution with this replica count".
 const INFEASIBLE: u64 = u64::MAX;
@@ -31,27 +31,20 @@ pub struct MinCountResult {
     pub servers: u64,
 }
 
-/// Per-node DP state kept for reconstruction.
-struct NodeTable {
-    /// `minr[n]`, `n` bounded by the internal-node count of the subtree.
-    minr: Vec<u64>,
-}
-
-/// One recomputed merge step during reconstruction: the intermediate table
-/// plus its backpointers.
-type MergeStep = (Vec<u64>, Vec<Option<(u32, bool)>>);
+/// Per-position backpointers of one recomputed merge step.
+type BackPtrs = Vec<Option<(u32, bool)>>;
 
 /// Solves `MinCost-NoPre`: minimum replicas covering all requests with
 /// capacity `capacity` under the closest policy.
 pub fn solve_min_count(tree: &Tree, capacity: u64) -> Result<MinCountResult, ModelError> {
     assert!(capacity > 0, "capacity must be positive");
-    let tables = forward_pass(tree, capacity)?;
+    let flat = FlatTree::new(tree);
+    let tables = forward_pass(&flat, capacity)?;
 
     // Root scan: best replica count over all table entries.
-    let root = tree.root();
-    let root_table = &tables[root.index()].minr;
+    let root = flat.root_position();
     let mut best: Option<(u64, usize, bool)> = None; // (count, n, root server?)
-    for (n, &flow) in root_table.iter().enumerate() {
+    for (n, &flow) in tables[root].iter().enumerate() {
         if flow == INFEASIBLE {
             continue;
         }
@@ -72,36 +65,33 @@ pub fn solve_min_count(tree: &Tree, capacity: u64) -> Result<MinCountResult, Mod
         ModelError::Infeasible("no feasible replica placement at any count".into())
     })?;
 
-    let mut placement = Placement::empty(tree);
+    let mut placement = Placement::with_slots(flat.len());
     if root_server {
-        placement.insert(root, 0);
+        placement.insert(flat.node_at(root), 0);
     }
-    reconstruct(tree, capacity, &tables, root, n_target, &mut placement);
+    reconstruct(&flat, capacity, &tables, n_target, &mut placement);
     debug_assert_eq!(placement.server_count() as u64, servers);
     Ok(MinCountResult { placement, servers })
 }
 
-/// Bottom-up pass computing every node's table.
-fn forward_pass(tree: &Tree, capacity: u64) -> Result<Vec<NodeTable>, ModelError> {
-    let counts = traversal::SubtreeCounts::new(tree);
-    let mut tables: Vec<NodeTable> = (0..tree.internal_count())
-        .map(|_| NodeTable { minr: Vec::new() })
-        .collect();
-
-    for node in traversal::post_order(tree) {
-        let direct = tree.client_load(node);
+/// Bottom-up pass computing every position's `minr` table, `n` bounded
+/// by the internal-node count strictly below.
+fn forward_pass(flat: &FlatTree, capacity: u64) -> Result<Vec<Vec<u64>>, ModelError> {
+    let mut tables: Vec<Vec<u64>> = Vec::with_capacity(flat.len());
+    for p in flat.positions() {
+        let direct = flat.client_load(p);
         if direct > capacity {
+            let node = flat.node_at(p);
             return Err(ModelError::Infeasible(format!(
                 "clients attached to {node} bundle {direct} requests > capacity {capacity}"
             )));
         }
-        let cap_n = counts.internal_below[node.index()] as usize;
-        let mut minr = vec![INFEASIBLE; cap_n + 1];
+        let mut minr = vec![INFEASIBLE; flat.subtree_size(p)];
         minr[0] = direct;
-        for &child in tree.children(node) {
-            merge_child(&mut minr, &tables[child.index()].minr, capacity, None);
+        for &c in flat.children(p) {
+            merge_child(&mut minr, &tables[c as usize], capacity, None);
         }
-        tables[node.index()].minr = minr;
+        tables.push(minr);
     }
     Ok(tables)
 }
@@ -111,12 +101,7 @@ fn forward_pass(tree: &Tree, capacity: u64) -> Result<Vec<NodeTable>, ModelError
 /// When `backptr` is provided, records for each reachable entry `n` the pair
 /// `(n_left, server_at_child)` that achieved it — used only during
 /// reconstruction.
-fn merge_child(
-    left: &mut [u64],
-    child: &[u64],
-    capacity: u64,
-    mut backptr: Option<&mut Vec<Option<(u32, bool)>>>,
-) {
+fn merge_child(left: &mut [u64], child: &[u64], capacity: u64, mut backptr: Option<&mut BackPtrs>) {
     let prev: Vec<u64> = left.to_vec();
     left.fill(INFEASIBLE);
     if let Some(bp) = backptr.as_deref_mut() {
@@ -159,51 +144,43 @@ fn merge_child(
 }
 
 /// Rebuilds the replica set achieving `tables[root][n_target]`, re-running
-/// each node's merge sequence with backpointers (transient memory only).
+/// each position's merge sequence with backpointers (transient memory only).
 fn reconstruct(
-    tree: &Tree,
+    flat: &FlatTree,
     capacity: u64,
-    tables: &[NodeTable],
-    start: NodeId,
+    tables: &[Vec<u64>],
     start_n: usize,
     placement: &mut Placement,
 ) {
-    let mut work: Vec<(NodeId, usize)> = vec![(start, start_n)];
-    while let Some((node, n_target)) = work.pop() {
-        let children = tree.children(node);
+    let mut work: Vec<(usize, usize)> = vec![(flat.root_position(), start_n)];
+    while let Some((p, n_target)) = work.pop() {
+        let children = flat.children(p);
         if children.is_empty() {
             debug_assert_eq!(n_target, 0, "leaf tables only populate n = 0");
             continue;
         }
-        // Re-run the merges, keeping every intermediate table + backpointers.
-        let cap_n = tables[node.index()].minr.len() - 1;
-        let mut table = vec![INFEASIBLE; cap_n + 1];
-        table[0] = tree.client_load(node);
-        let mut steps: Vec<MergeStep> = Vec::with_capacity(children.len());
-        for &child in children {
-            let mut bp: Vec<Option<(u32, bool)>> = Vec::new();
-            merge_child(
-                &mut table,
-                &tables[child.index()].minr,
-                capacity,
-                Some(&mut bp),
-            );
-            steps.push((table.clone(), bp));
+        // Re-run the merges, keeping every step's backpointers.
+        let mut table = vec![INFEASIBLE; tables[p].len()];
+        table[0] = flat.client_load(p);
+        let mut steps: Vec<BackPtrs> = Vec::with_capacity(children.len());
+        for &c in children {
+            let mut bp = BackPtrs::new();
+            merge_child(&mut table, &tables[c as usize], capacity, Some(&mut bp));
+            steps.push(bp);
         }
-        debug_assert_eq!(table[n_target], tables[node.index()].minr[n_target]);
+        debug_assert_eq!(table[n_target], tables[p][n_target]);
 
         // Walk the merge sequence backwards.
         let mut cur = n_target;
-        for (k, &child) in children.iter().enumerate().rev() {
-            let (_, bp) = &steps[k];
+        for (bp, &c) in steps.iter().zip(children).rev() {
             let (n1, server) = bp[cur].expect("reachable entries must carry a backpointer");
             let n1 = n1 as usize;
             let n_child = cur - n1 - usize::from(server);
             if server {
-                placement.insert(child, 0);
+                placement.insert(flat.node_at(c as usize), 0);
             }
             if n_child > 0 || server {
-                work.push((child, n_child));
+                work.push((c as usize, n_child));
             }
             cur = n1;
         }

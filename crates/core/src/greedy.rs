@@ -73,9 +73,9 @@ pub fn greedy_min_replicas(tree: &Tree, capacity: u64) -> Result<GreedyResult, M
 /// `flat` must be freshly [rebuilt](FlatTree::rebuild) against the tree's
 /// current demand (the layout snapshots client loads). Placements are
 /// bit-identical to the pre-flat pointer traversal
-/// ([`crate::reference::greedy_min_replicas`]): positions are visited in the
-/// exact `traversal::post_order` sequence and the largest-first absorb sorts
-/// the same `(flow, NodeId)` keys.
+/// ([`crate::reference::greedy_min_replicas`]): the layout's positions are
+/// the pointer tree's post order, children in their left-to-right order, and
+/// the largest-first absorb sorts the same `(flow, NodeId)` keys.
 pub fn greedy_min_replicas_flat(
     flat: &FlatTree,
     capacity: u64,

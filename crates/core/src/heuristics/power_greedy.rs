@@ -23,7 +23,7 @@
 
 use super::{better, score, HeuristicResult};
 use replica_model::{Instance, ModeIdx, ModelError, Placement};
-use replica_tree::traversal;
+use replica_tree::{FlatTree, NodeId};
 
 /// Default threshold grid for [`solve`].
 pub const DEFAULT_THRESHOLDS: &[f64] = &[0.6, 0.7, 0.8, 0.9, 1.0];
@@ -32,26 +32,49 @@ pub const DEFAULT_THRESHOLDS: &[f64] = &[0.6, 0.7, 0.8, 0.9, 1.0];
 /// returns an (unscored) placement, or `None` when some client bundle
 /// exceeds the cap.
 pub fn single_pass(instance: &Instance, cap_mode: ModeIdx, tau: f64) -> Option<Placement> {
+    let flat = FlatTree::new(instance.tree());
+    pass(instance, &flat, &pre_flags(instance, &flat), cap_mode, tau)
+}
+
+/// Pre-existing flags by layout position.
+fn pre_flags(instance: &Instance, flat: &FlatTree) -> Vec<bool> {
+    let mut is_pre = vec![false; flat.len()];
+    for (node, _) in instance.pre_existing().iter() {
+        is_pre[flat.position_of(node)] = true;
+    }
+    is_pre
+}
+
+/// [`single_pass`] over a prebuilt layout of the instance's tree.
+fn pass(
+    instance: &Instance,
+    flat: &FlatTree,
+    is_pre: &[bool],
+    cap_mode: ModeIdx,
+    tau: f64,
+) -> Option<Placement> {
     assert!(tau > 0.0 && tau <= 1.0, "threshold must be in (0, 1]");
-    let tree = instance.tree();
     let modes = instance.modes();
     let cap = modes.capacity(cap_mode);
-    let pre = instance.pre_existing();
-    let mut placement = Placement::empty(tree);
-    let mut flow = vec![0u64; tree.internal_count()];
-    let mut contributions: Vec<(u64, bool, replica_tree::NodeId)> = Vec::new();
+    let root = flat.root_position();
+    let mut placement = Placement::with_slots(flat.len());
+    let mut flow = vec![0u64; flat.len()];
+    let mut contributions: Vec<(u64, bool, NodeId)> = Vec::new();
 
-    for node in traversal::post_order(tree) {
-        let direct = tree.client_load(node);
+    for p in flat.positions() {
+        let direct = flat.client_load(p);
         if direct > cap {
             return None;
         }
         let mut f = direct;
         contributions.clear();
-        for &c in tree.children(node) {
-            let fc = flow[c.index()];
+        for &c in flat.children(p) {
+            let c = c as usize;
+            let fc = flow[c];
             if fc > 0 {
-                contributions.push((fc, pre.contains(c), c));
+                // Ties break on the node id, not the position: serde trees
+                // may list children against id order.
+                contributions.push((fc, is_pre[c], flat.node_at(c)));
             }
             f += fc;
         }
@@ -73,16 +96,15 @@ pub fn single_pass(instance: &Instance, cap_mode: ModeIdx, tau: f64) -> Option<P
         // Opportunistic placement: absorb here if the fitting mode would be
         // well utilized (or unconditionally at the root, where flow must
         // end).
-        let is_root = node == tree.root();
         if f > 0 {
             let mode = modes.mode_for_load(f).expect("f ≤ cap ≤ W_M here");
             let fill = f as f64 / modes.capacity(mode) as f64;
-            if is_root || fill >= tau {
-                placement.insert(node, mode);
+            if p == root || fill >= tau {
+                placement.insert(flat.node_at(p), mode);
                 f = 0;
             }
         }
-        flow[node.index()] = f;
+        flow[p] = f;
     }
     Some(placement)
 }
@@ -98,10 +120,12 @@ pub fn solve_with_thresholds(
     cost_bound: f64,
     thresholds: &[f64],
 ) -> Result<HeuristicResult, ModelError> {
+    let flat = FlatTree::new(instance.tree());
+    let is_pre = pre_flags(instance, &flat);
     let mut best: Option<HeuristicResult> = None;
     for cap_mode in instance.modes().indices() {
         for &tau in thresholds {
-            let Some(placement) = single_pass(instance, cap_mode, tau) else {
+            let Some(placement) = pass(instance, &flat, &is_pre, cap_mode, tau) else {
                 continue;
             };
             if let Some(candidate) = score(instance, &placement, cost_bound) {

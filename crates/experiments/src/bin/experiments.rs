@@ -11,6 +11,7 @@
 //! Every run prints ASCII tables and writes the same data as CSV into the
 //! output directory (default `results/`).
 
+use replica_engine::spec::CAMPAIGN_FLAG_NAMES;
 use replica_experiments::cli::Args;
 use replica_experiments::{
     exp1, exp2, exp3, fleet_cmd, heuristics_quality, report, scalability, strategies_study,
@@ -66,6 +67,31 @@ fleet flags (a campaign spec, validated before any job runs):
                      throughput) to stderr; uses --trace FILE when given,
                      a temporary trace otherwise";
 
+/// Every flag [`USAGE`] documents, without the leading `--`; `fleet` also
+/// takes the engine's campaign flags ([`CAMPAIGN_FLAG_NAMES`]).
+const FLAGS: &[&str] = &[
+    "high",
+    "variant",
+    "trees",
+    "nodes",
+    "steps",
+    "seed",
+    "quick",
+    "paper",
+    "out",
+    "spec",
+    "scenarios",
+    "count",
+    "solvers",
+    "reference",
+    "batch-jobs",
+    "cost-bound",
+    "budgets",
+    "format",
+    "trace",
+    "analyze",
+];
+
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = raw.first().cloned() else {
@@ -73,6 +99,13 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let args = Args::parse(&raw[1..]);
+    let mut known = FLAGS.to_vec();
+    if command == "fleet" {
+        known.extend_from_slice(CAMPAIGN_FLAG_NAMES);
+    }
+    if let Err(e) = args.reject_unknown(&known) {
+        die(&e);
+    }
     match command.as_str() {
         "exp1" => run_exp1(&args),
         "exp2" => run_exp2(&args),

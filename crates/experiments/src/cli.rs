@@ -1,8 +1,9 @@
 //! Minimal flag parsing for the `experiments` binary.
 //!
 //! Deliberately tiny (the workspace adds no CLI dependency for one binary):
-//! `--name` flags with an optional following value, order-insensitive,
-//! unknown flags surfaced to the caller.
+//! `--name` flags with an optional following value, order-insensitive;
+//! [`Args::reject_unknown`] turns a misspelled flag into an error instead
+//! of a silently ignored entry.
 
 /// Parsed `--flag [value]` pairs.
 #[derive(Clone, Debug, Default)]
@@ -55,6 +56,19 @@ impl Args {
         }
     }
 
+    /// `Err` naming the first flag outside `known` (names without the
+    /// leading `--`).
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+        match self
+            .flags
+            .iter()
+            .find(|(n, _)| !known.contains(&n.as_str()))
+        {
+            Some((name, _)) => Err(format!("unknown flag --{name}")),
+            None => Ok(()),
+        }
+    }
+
     /// Adds a flag programmatically (used by the `all` command to fan out
     /// variants).
     pub fn with_flag(mut self, name: &str, value: Option<&str>) -> Self {
@@ -102,6 +116,19 @@ mod tests {
         let a = parse(&["stray", "--seed", "7", "stray2"]);
         assert_eq!(a.get("seed"), Some("7"));
         assert_eq!(a.flags.len(), 1);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let known = ["trees", "quick"];
+        assert!(parse(&["--trees", "5", "--quick"])
+            .reject_unknown(&known)
+            .is_ok());
+        let err = parse(&["--quick", "--tress", "5"])
+            .reject_unknown(&known)
+            .unwrap_err();
+        assert_eq!(err, "unknown flag --tress");
+        assert!(parse(&[]).reject_unknown(&[]).is_ok());
     }
 
     #[test]

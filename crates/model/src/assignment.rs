@@ -12,6 +12,13 @@
 //!
 //! Feasibility of a placement is exactly: `outflow(root) = 0` and every
 //! server's load fits its assigned mode capacity.
+//!
+//! This module walks the pointer [`Tree`] on purpose, while every solver
+//! folds over `replica_tree::FlatTree`: [`Solution::evaluate`] re-checks
+//! solver output through it, and an oracle that shares no layout code with
+//! the solvers it checks cannot share their layout bugs.
+//!
+//! [`Solution::evaluate`]: crate::Solution::evaluate
 
 use crate::error::ModelError;
 use crate::modes::ModeSet;

@@ -89,7 +89,8 @@ impl TreeBuilder {
         id
     }
 
-    /// Finalizes the tree, running structural validation.
+    /// Finalizes the tree, running [validation](crate::validate::validate):
+    /// structure, and a total client demand that fits a `u64`.
     pub fn build(self) -> Result<Tree, TreeError> {
         let tree = Tree {
             nodes: self.nodes,
@@ -104,6 +105,9 @@ impl TreeBuilder {
     ///
     /// Construction through the builder cannot produce structural errors, so
     /// this unwraps internally.
+    ///
+    /// # Panics
+    /// Panics if the total client demand overflows a `u64`.
     pub fn build_with_clients_everywhere(mut self, requests: u64) -> Tree {
         for idx in 0..self.nodes.len() {
             if self.nodes[idx].clients.is_empty() {
@@ -111,7 +115,7 @@ impl TreeBuilder {
             }
         }
         self.build()
-            .expect("builder-constructed trees are structurally valid")
+            .expect("builder-constructed trees are valid unless demand overflows")
     }
 }
 

@@ -16,10 +16,11 @@
 //! * an arena-backed [`Tree`] with cheap index-based [`NodeId`] / [`ClientId`]
 //!   handles,
 //! * a mutation-safe [`TreeBuilder`],
-//! * [traversals](traversal) (post-order, pre-order, ancestors, depths,
-//!   per-subtree tallies) used by every algorithm in `replica-core`,
+//! * [traversals](traversal) (post-order, pre-order, depths) over the
+//!   pointer tree, for statistics and the model's re-evaluation oracle,
 //! * the cache-friendly [`FlatTree`](layout) post-order layout (subtree =
-//!   contiguous index range) that the solver hot paths iterate,
+//!   contiguous index range, with subtree demand aggregates) that every
+//!   solver in `replica-core` iterates,
 //! * seeded [random generators](generate) reproducing the exact tree shapes of
 //!   the paper's evaluation section (fat 6–9-children trees and high
 //!   2–4-children trees) plus standard synthetic shapes,

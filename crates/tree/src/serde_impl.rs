@@ -66,6 +66,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_demand_overflow() {
+        let mut b = TreeBuilder::new();
+        let r = b.root();
+        b.add_client(r, u64::MAX - 1);
+        b.add_client(r, 1);
+        let json = serde_json::to_string(&b.build().unwrap()).unwrap();
+        // Raise the second client past the u64 total.
+        let broken = json.replacen("\"requests\":1}", "\"requests\":2}", 1);
+        assert_ne!(json, broken, "test must actually corrupt the payload");
+        let err = serde_json::from_str::<Tree>(&broken).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
+    }
+
+    #[test]
     fn rejects_empty_arena() {
         let result: Result<Tree, _> = serde_json::from_str(r#"{"nodes":[],"clients":[]}"#);
         assert!(result.is_err());

@@ -267,7 +267,18 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "(", "(:)", "(:5", "(:5))", "(5)", "(:5,,:2)", "(:5)x"] {
+        // The last one is well-formed, but its total demand overflows u64.
+        for bad in [
+            "",
+            "(",
+            "(:)",
+            "(:5",
+            "(:5))",
+            "(5)",
+            "(:5,,:2)",
+            "(:5)x",
+            "((:18446744073709551615),:1)",
+        ] {
             let r = parse(bad);
             assert!(r.is_err(), "{bad:?} must not parse, got {r:?}");
         }

@@ -1,10 +1,10 @@
-//! Tree traversal orders and per-subtree tallies.
+//! Tree traversal orders over the pointer tree.
 //!
-//! Every dynamic program in `replica-core` processes nodes bottom-up
-//! (children strictly before parents), so [`post_order`] is the workhorse
-//! here. [`SubtreeCounts`] precomputes, for each node `j`, how many internal
-//! nodes / pre-existing servers / requests live in `subtree_j` — these bounds
-//! are what keep the DP tables small (see DESIGN.md §2).
+//! Solvers iterate [`FlatTree`](crate::FlatTree) positions, whose order is
+//! exactly [`post_order`]'s and whose subtree aggregates come with the
+//! layout. These walks serve the tree's own statistics, the layout's
+//! equivalence tests, and the model's assignment oracle, which shares no
+//! layout code with the solvers it checks.
 
 use crate::arena::Tree;
 use crate::ids::NodeId;
@@ -55,72 +55,6 @@ pub fn depths(tree: &Tree) -> Vec<u32> {
 /// height 0).
 pub fn height(tree: &Tree) -> u32 {
     depths(tree).into_iter().max().unwrap_or(0)
-}
-
-/// Per-node subtree tallies.
-///
-/// All counts follow the paper's convention for `subtree_j`: they cover the
-/// subtree rooted at `j` **excluding `j` itself** (DP tables at `j` count
-/// servers strictly below `j`; whether `j` gets a replica is decided at its
-/// parent). Inclusive variants are provided for callers that need them.
-#[derive(Clone, Debug)]
-pub struct SubtreeCounts {
-    /// Internal nodes strictly below `j`.
-    pub internal_below: Vec<u32>,
-    /// Pre-existing servers strictly below `j` (only populated via
-    /// [`SubtreeCounts::with_pre_existing`]).
-    pub pre_existing_below: Vec<u32>,
-    /// Total client requests in the subtree of `j`, **including** clients
-    /// attached to `j` itself (requests attached to `j` do flow through `j`).
-    pub requests_within: Vec<u64>,
-}
-
-impl SubtreeCounts {
-    /// Computes tallies with an empty pre-existing set.
-    pub fn new(tree: &Tree) -> Self {
-        Self::with_pre_existing(tree, &[])
-    }
-
-    /// Computes tallies; `pre_existing` marks the servers already present in
-    /// the tree (the set `E` of the paper).
-    pub fn with_pre_existing(tree: &Tree, pre_existing: &[NodeId]) -> Self {
-        let n = tree.internal_count();
-        let mut is_pre = vec![false; n];
-        for &e in pre_existing {
-            is_pre[e.index()] = true;
-        }
-        let mut internal_below = vec![0u32; n];
-        let mut pre_existing_below = vec![0u32; n];
-        let mut requests_within = vec![0u64; n];
-        for node in post_order(tree) {
-            let i = node.index();
-            requests_within[i] = tree.client_load(node);
-            for &c in tree.children(node) {
-                let ci = c.index();
-                internal_below[i] += internal_below[ci] + 1;
-                pre_existing_below[i] += pre_existing_below[ci] + u32::from(is_pre[ci]);
-                requests_within[i] += requests_within[ci];
-            }
-        }
-        SubtreeCounts {
-            internal_below,
-            pre_existing_below,
-            requests_within,
-        }
-    }
-
-    /// Internal nodes in the subtree of `j`, including `j`.
-    #[inline]
-    pub fn internal_within(&self, node: NodeId) -> u32 {
-        self.internal_below[node.index()] + 1
-    }
-
-    /// New-server slots strictly below `j` (internal nodes that are *not*
-    /// pre-existing).
-    #[inline]
-    pub fn new_slots_below(&self, node: NodeId) -> u32 {
-        self.internal_below[node.index()] - self.pre_existing_below[node.index()]
-    }
 }
 
 #[cfg(test)]
@@ -187,29 +121,10 @@ mod tests {
     }
 
     #[test]
-    fn subtree_counts_exclude_self() {
-        let (t, [r, a, b, c]) = sample();
-        let s = SubtreeCounts::with_pre_existing(&t, &[a, c]);
-        assert_eq!(s.internal_below[r.index()], 3);
-        assert_eq!(s.internal_below[a.index()], 1);
-        assert_eq!(s.internal_below[c.index()], 0);
-        assert_eq!(s.pre_existing_below[r.index()], 2);
-        assert_eq!(s.pre_existing_below[a.index()], 1); // c below a
-        assert_eq!(s.pre_existing_below[c.index()], 0);
-        assert_eq!(s.requests_within[r.index()], 8);
-        assert_eq!(s.requests_within[a.index()], 5);
-        assert_eq!(s.requests_within[b.index()], 2);
-        assert_eq!(s.internal_within(r), 4);
-        assert_eq!(s.new_slots_below(r), 1); // b only
-    }
-
-    #[test]
     fn single_node_tree() {
         let t = TreeBuilder::new().build().unwrap();
         assert_eq!(post_order(&t), vec![t.root()]);
         assert_eq!(height(&t), 0);
-        let s = SubtreeCounts::new(&t);
-        assert_eq!(s.internal_below[0], 0);
     }
 
     #[test]

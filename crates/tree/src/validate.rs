@@ -1,15 +1,16 @@
-//! Structural validation of [`Tree`]s.
+//! Validation of [`Tree`]s: structure, and a total demand that fits `u64`.
 //!
-//! Trees produced by [`TreeBuilder`](crate::TreeBuilder) are valid by
-//! construction, but trees can also arrive through deserialization; both
+//! Trees produced by [`TreeBuilder`](crate::TreeBuilder) are structurally
+//! valid by construction, but trees can also arrive through
+//! deserialization, and any client volumes can sum past `u64::MAX`; both
 //! paths funnel through [`validate`] so that every algorithm downstream can
-//! assume a well-formed arena.
+//! assume a well-formed arena whose subtree demand sums cannot wrap.
 
 use crate::arena::Tree;
-use crate::ids::NodeId;
+use crate::ids::{ClientId, NodeId};
 use std::fmt;
 
-/// Structural defects detected by [`validate`].
+/// Defects detected by [`validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TreeError {
     /// The arena holds no nodes at all.
@@ -26,6 +27,9 @@ pub enum TreeError {
     NotATree(NodeId),
     /// A client's attach pointer and the node's client list disagree.
     ClientLinkMismatch(String),
+    /// The clients' total demand does not fit a `u64`, so some subtree sum
+    /// would wrap. Carries the first client whose requests overflow it.
+    DemandOverflow(ClientId),
 }
 
 impl fmt::Display for TreeError {
@@ -48,6 +52,9 @@ impl fmt::Display for TreeError {
                 )
             }
             TreeError::ClientLinkMismatch(what) => write!(f, "client link mismatch: {what}"),
+            TreeError::DemandOverflow(c) => {
+                write!(f, "total client demand overflows u64 at client {c}")
+            }
         }
     }
 }
@@ -55,7 +62,8 @@ impl fmt::Display for TreeError {
 impl std::error::Error for TreeError {}
 
 /// Checks arena consistency: single root, mutual parent/child links, client
-/// links, and global reachability (connected + acyclic).
+/// links, and global reachability (connected + acyclic); and that the total
+/// client demand fits a `u64`, so every subtree demand sum does too.
 pub fn validate(tree: &Tree) -> Result<(), TreeError> {
     if tree.nodes.is_empty() {
         return Err(TreeError::Empty);
@@ -112,7 +120,7 @@ pub fn validate(tree: &Tree) -> Result<(), TreeError> {
         if client.attach.index() >= n {
             return Err(TreeError::DanglingHandle(format!("attach of client {idx}")));
         }
-        let cl = crate::ids::ClientId::from_index(idx);
+        let cl = ClientId::from_index(idx);
         if !tree.nodes[client.attach.index()].clients.contains(&cl) {
             return Err(TreeError::ClientLinkMismatch(format!(
                 "client {cl} attached to {} but not listed there",
@@ -137,6 +145,13 @@ pub fn validate(tree: &Tree) -> Result<(), TreeError> {
     if reached != n {
         let missing = seen.iter().position(|&s| !s).expect("some node unseen");
         return Err(TreeError::NotATree(NodeId::from_index(missing)));
+    }
+
+    let mut total = 0u64;
+    for (idx, client) in tree.clients.iter().enumerate() {
+        total = total
+            .checked_add(client.requests)
+            .ok_or(TreeError::DemandOverflow(ClientId::from_index(idx)))?;
     }
     Ok(())
 }
@@ -201,6 +216,34 @@ mod tests {
         let mut t = valid_tree();
         t.nodes[2].children.push(NodeId::from_index(99));
         assert!(matches!(validate(&t), Err(TreeError::DanglingHandle(_))));
+    }
+
+    #[test]
+    fn detects_demand_overflow_on_build() {
+        // Two clients on one node: their sum would wrap to 0 in release.
+        let mut b = TreeBuilder::new();
+        let r = b.root();
+        b.add_client(r, u64::MAX);
+        b.add_client(r, 1);
+        let err = b.build().unwrap_err();
+        assert_eq!(err, TreeError::DemandOverflow(ClientId::from_index(1)));
+        assert!(err.to_string().contains("overflows"));
+
+        // Spread over disjoint subtrees, the root sum still overflows.
+        let mut b = TreeBuilder::new();
+        let r = b.root();
+        for _ in 0..3 {
+            let c = b.add_child(r);
+            b.add_client(c, u64::MAX / 2);
+        }
+        assert!(matches!(b.build(), Err(TreeError::DemandOverflow(_))));
+
+        // Exactly u64::MAX in total is fine.
+        let mut b = TreeBuilder::new();
+        let r = b.root();
+        b.add_client(r, u64::MAX - 1);
+        b.add_client(r, 1);
+        assert_eq!(b.build().unwrap().total_requests(), u64::MAX);
     }
 
     #[test]

@@ -129,18 +129,23 @@ proptest! {
     }
 
     /// Precomputed demand aggregates equal recomputation: per-node client
-    /// load against the arena, subtree load against [`SubtreeCounts`], and
+    /// load against the arena, subtree load against a naive sum over every
+    /// client attached at or below the node (no layout code involved), and
     /// the root carries the whole tree's demand.
     #[test]
     fn demand_aggregates_equal_recomputation(tree in arbitrary_tree()) {
         let flat = FlatTree::new(&tree);
-        let counts = traversal::SubtreeCounts::new(&tree);
         for p in flat.positions() {
             let n = flat.node_at(p);
             let direct: u64 = flat.clients(p).iter().map(|&c| tree.requests(c)).sum();
             prop_assert_eq!(flat.client_load(p), direct);
             prop_assert_eq!(flat.client_load(p), tree.client_load(n));
-            prop_assert_eq!(flat.subtree_load(p), counts.requests_within[n.index()]);
+            let within: u64 = tree
+                .client_ids()
+                .filter(|&c| tree.is_ancestor_or_self(n, tree.client(c).attach))
+                .map(|c| tree.requests(c))
+                .sum();
+            prop_assert_eq!(flat.subtree_load(p), within);
 
             // Bottom-up decomposition straight off the flat arrays.
             let children_sum: u64 = flat

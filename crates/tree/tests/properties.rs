@@ -74,32 +74,6 @@ proptest! {
     }
 
     #[test]
-    fn subtree_requests_decompose(
-        cfg in arbitrary_config(),
-        seed in 0u64..10_000,
-    ) {
-        let tree = generate::random_tree(&cfg, &mut StdRng::seed_from_u64(seed));
-        let counts = traversal::SubtreeCounts::new(&tree);
-        // Root subtree carries everything.
-        prop_assert_eq!(
-            counts.requests_within[tree.root().index()],
-            tree.total_requests()
-        );
-        // And every node's tally is its own load plus its children's.
-        for n in tree.internal_nodes() {
-            let children_sum: u64 = tree
-                .children(n)
-                .iter()
-                .map(|c| counts.requests_within[c.index()])
-                .sum();
-            prop_assert_eq!(
-                counts.requests_within[n.index()],
-                tree.client_load(n) + children_sum
-            );
-        }
-    }
-
-    #[test]
     fn text_format_round_trips_any_generated_tree(
         cfg in arbitrary_config(),
         seed in 0u64..10_000,
